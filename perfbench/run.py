@@ -3,24 +3,32 @@ layer by layer from a traced run.
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
 
-``--workload all`` runs the four in turn (about two minutes).
+``--workload all`` runs the four in turn.
 
 Workloads (see ``BENCHMARK.json`` for why each was chosen):
 
-* ``table2`` - the eight Table 2 cells, two-phase at the Table 2 bounds;
 * ``litmus`` - the litmus registry plus seeded random programs, each
   decided by both the ``pitchfork`` and ``sps`` analyses;
 * ``serve``  - one closed-loop client against a two-worker daemon:
   cold, warm (memory tier) and restarted (disk store) submits;
-* ``repair`` - the ``repair`` analysis over the flagged targets.
+* ``repair`` - the ``repair`` analysis over the flagged targets;
+* ``table2`` - the eight Table 2 cells, two-phase at the Table 2 bounds,
+  checked against the paper's marks.  It is not among the workloads
+  ``BENCHMARK.json`` times: one pass takes over a minute whatever
+  ``--seconds`` says, and its three deep cells give one sample each, so
+  its times cannot be made steady within a run.
 
 Every result is checked against a known answer; a wrong one makes the
-run exit 1.  With ``--trace 0`` the run repeats passes of the workload
-for ``--seconds`` and prints the end-to-end metrics.  With
-``--trace 1`` it runs one pass untraced and one pass with the layers
-wrapped (see ``tracing.py``) and prints the per-layer metrics, the
-tracing overhead, and the deterministic counts, which it also compares
-with an earlier traced run of the same code and seed.
+run exit 1.  With ``--trace 0`` the run repeats a fixed number of
+passes of the workload (``--seconds`` over the workload's nominal pass
+time) and prints the end-to-end metrics; each op's time is its median
+over the passes, in reference seconds: scaled by the host's speed,
+sampled between the pass's ops (see ``hostspeed.py``).  With
+``--trace 1`` it alternates untraced passes and passes with the layers
+wrapped (see ``tracing.py``) and prints the per-layer metrics of the
+first traced pass, the tracing overhead, and the deterministic counts,
+which it also compares with an earlier traced run of the same code and
+seed.
 
 Human-readable lines come first; the last line of stdout is one JSON
 object ``{"correct", "attempted", "failed", "metrics"}``.
@@ -37,6 +45,8 @@ import subprocess
 import sys
 import time
 
+from hostspeed import SpeedMeter
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
@@ -46,6 +56,12 @@ WORKLOADS = ("table2", "litmus", "serve", "repair")
 #: Fresh-process set-ups measured per in-process run (median reported).
 SETUP_PROBES = 5
 
+#: Calibration loops a set-up probe times to scale its set-up.
+PROBE_TICKS = 10
+
+#: Untraced/traced pass pairs of a traced run.
+OVERHEAD_ROUNDS = 3
+
 #: Run state (daemon sockets, stores, count records), inside the checkout.
 STATE_DIR = ".perfbench"
 
@@ -53,7 +69,6 @@ STATE_DIR = ".perfbench"
 EXACT_COUNTS = ("explorer.paths", "explorer.steps", "engine.step.calls",
                 "machine.step.calls", "config.hash.calls",
                 "mitigate.verifications")
-
 
 
 # ---------------------------------------------------------------------------
@@ -70,32 +85,33 @@ def tail(samples):
     return xs[n - 11], 100.0 * (n - 10) / n
 
 
-def peak_rss_mb():
-    """Peak RSS of this process plus that of its largest child."""
+def peak_rss_mb(workload):
+    """Peak RSS of this process plus that of the processes the workload
+    measured (the serve daemon and its workers).  The set-up probes are
+    children too, but they ran before the passes and are not counted."""
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    child = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return (own + child) / 1024.0
+    return (own + workload.children_kb) / 1024.0
 
 
-def op_times(records):
-    """Each operation's time: its fastest over the passes that ran it.
-
-    The host's speed drifts between and within runs; the best of an
-    op's repeats is the reading least disturbed by that drift."""
+def per_op(records, reduce):
+    """``reduce`` over each operation's scaled times, one value per op."""
     times = {}
     for record in records:
         times.setdefault((record.name, record.kind), []).append(
-            record.seconds)
-    return [min(ts) for ts in times.values()]
+            record.seconds * record.scale)
+    return [reduce(ts) for ts in times.values()]
 
 
-def latency_metrics(prefix, seconds):
-    """``<prefix>.p50`` and ``<prefix>.tail`` in ms, with notes."""
-    ms = [s * 1000.0 for s in seconds]
+def latency_metrics(prefix, records, passes):
+    """``<prefix>.p50`` and ``<prefix>.tail`` in ms over the ops of
+    ``records``, each op at its median over the passes, with notes."""
+    ms = [s * 1000.0 for s in per_op(records, statistics.median)]
     value, pct = tail(ms)
     n = len(ms)
-    return {f"{prefix}.p50": (statistics.median(ms), "ms", f"n={n} ops"),
-            f"{prefix}.tail": (value, "ms", f"p{pct:.1f}, n={n} ops")}
+    each = f"each op's median of {passes} pass(es)"
+    return {f"{prefix}.p50": (statistics.median(ms), "ms",
+                              f"n={n} ops; {each}"),
+            f"{prefix}.tail": (value, "ms", f"p{pct:.1f}, n={n} ops; {each}")}
 
 
 def explored(report):
@@ -177,56 +193,85 @@ def make_workload(name, seed, run_dir):
 
 def setup_probe(args):
     """Child mode: build the workload in a fresh process and print how
-    long the imports and input building took."""
+    long the imports and input building took, and the factor to
+    reference seconds measured right after."""
     start = time.perf_counter()
     make_workload(args.workload, args.seed, None)
-    print(json.dumps(time.perf_counter() - start))
+    seconds = time.perf_counter() - start
+    meter = SpeedMeter()
+    for _ in range(PROBE_TICKS):
+        meter.tick()
+    print(json.dumps([seconds, meter.factor()]))
     return 0
 
 
 def probe_setups(args):
-    """Median of :data:`SETUP_PROBES` fresh-process set-ups."""
+    """:data:`SETUP_PROBES` fresh-process set-ups, in reference
+    seconds."""
     samples = []
     for _ in range(SETUP_PROBES):
         out = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--setup-probe",
              "--workload", args.workload, "--seed", str(args.seed)],
             check=True, capture_output=True, text=True, timeout=120)
-        samples.append(json.loads(out.stdout.strip().splitlines()[-1]))
+        seconds, factor = json.loads(out.stdout.strip().splitlines()[-1])
+        samples.append(seconds * factor)
     return samples
 
 
-def run_passes(workload, seconds):
-    """Untraced passes until ``seconds`` have gone by (at least one);
-    returns (passes run, records)."""
-    passes, records = 0, []
-    start = time.perf_counter()
-    while not passes or time.perf_counter() - start < seconds:
-        batch = workload.run_pass()
-        workload.check(batch, deep=passes == 0)
-        passes += 1
-        records += batch
-    return passes, records
+def pass_count(workload, seconds):
+    """Passes a run makes: ``seconds`` over the workload's nominal pass
+    time, fixed so that every run of a workload takes the same number of
+    samples whatever the host's speed."""
+    return max(1, round(seconds / workload.pass_s))
 
 
-def end_to_end(setup, passes, timed, records):
-    """End-to-end metrics; timings over ``timed``, completeness over
-    every record."""
-    per_op = op_times(timed)
+def run_passes(workload, count):
+    """The workload's once-per-run ops, then ``count`` untraced passes,
+    each checked.  Returns (one record list per pass, the once records).
+
+    Reports after the first pass are dropped once checked, so the heap,
+    and with it the garbage collector's work, stays the same size from
+    pass to pass.  A :class:`SpeedMeter` ticks before each op of a pass,
+    and the pass's records are scaled by its factor."""
+    once = workload.run_once()
+    passes = []
+    for i in range(count):
+        meter = SpeedMeter()
+        batch = workload.run_pass(meter=meter)
+        factor = meter.factor()
+        for record in batch:
+            record.scale = factor
+        workload.check(batch + once if i == 0 else batch, deep=i == 0)
+        if i:
+            for record in batch:
+                record.result = None
+        passes.append(batch)
+    return passes, once
+
+
+def end_to_end(workload, setup, passes, once):
+    """End-to-end metrics.  Timings cover the passes; the host's speed
+    drifts within a run, so each is a median over the passes."""
+    timed = [r for batch in passes for r in batch]
+    records = timed + once
+    raw = statistics.median(sum(r.seconds for r in batch) for batch in passes)
     metrics = {
         "setup_s": (statistics.median(setup), "s",
                     f"median of {len(setup)} set-ups"),
-        "wall_s": (sum(per_op), "s",
-                   f"one pass; each op's best of {passes} pass(es)"),
-        "peak_rss_mb": (peak_rss_mb(), "MB", "this process + largest child"),
+        "wall_s": (statistics.median(sum(r.seconds * r.scale for r in batch)
+                                     for batch in passes), "s",
+                   f"median pass of {len(passes)}; measured {raw:.4g} s"),
+        "peak_rss_mb": (peak_rss_mb(workload), "MB",
+                        "this process + measured children"),
         "complete_frac": (sum(r.complete for r in records) / len(records),
                           "frac", f"n={len(records)}"),
     }
-    metrics.update(latency_metrics("op_ms", per_op))
+    metrics.update(latency_metrics("op_ms", timed, len(passes)))
     return metrics
 
 
-def tier_metrics(records):
+def tier_metrics(records, passes):
     """Per-tier submit latencies of serve records (zero elsewhere)."""
     from serving import TIERS
     metrics = {}
@@ -234,64 +279,88 @@ def tier_metrics(records):
         tier_records = [r for r in records if r.kind == tier]
         if tier_records:
             metrics.update(latency_metrics(f"serve.{tier}_submit_ms",
-                                           op_times(tier_records)))
+                                           tier_records, passes))
         else:
             metrics[f"serve.{tier}_submit_ms.p50"] = (0.0, "ms", "n=0")
             metrics[f"serve.{tier}_submit_ms.tail"] = (0.0, "ms", "n=0")
     return metrics
 
 
-def measure(args, run_dir):
-    """(metrics, records, notes) for one run."""
-    from tracing import (IN_PROCESS_LAYERS, LayerTracer, layer_metrics,
-                         load_traces, merge_snapshots)
-    workload = make_workload(args.workload, args.seed, run_dir)
-    if not args.trace:
-        setup = workload.setup_samples
-        if setup is None:
-            setup = probe_setups(args)
-        passes, records = run_passes(workload, args.seconds)
-        metrics = end_to_end(setup, passes, workload.gated(records),
-                             records)
-        metrics.update(tier_metrics(records))
-        return metrics, records, [], workload.summary(records)
-
-    # Traced run: the same ops untraced, then traced.  A short pass is
-    # run once first, so neither side pays first-execution costs.
-    names = workload.overhead_ops
-    if workload.warmup:
-        workload.run_pass(names)
-    untraced = workload.run_pass(names)
-    trace_dir = os.path.join(run_dir, "trace")
-    os.makedirs(trace_dir)
-    tracer = LayerTracer()
+def traced_run(tracer, run):
+    """``run()`` with the in-process layers wrapped by ``tracer``."""
+    from tracing import IN_PROCESS_LAYERS
     tracer.install(IN_PROCESS_LAYERS)
     tracer.install_frontiers()
     try:
-        traced = workload.run_pass(trace_dir=trace_dir)
+        return run()
     finally:
         tracer.restore()
-    snaps = [tracer.snapshot()] + load_traces(trace_dir)
-    workload.check(untraced, deep=False)
-    workload.check(traced, deep=True)
-    untraced_s = sum(r.seconds for r in untraced)
-    traced_s = sum(r.seconds for r in traced
-                   if names is None or r.name in names)
+
+
+def measure(args, run_dir):
+    """(metrics, records, notes, summary lines) for one run."""
+    from tracing import (LayerTracer, layer_metrics, load_traces,
+                         merge_snapshots)
+    workload = make_workload(args.workload, args.seed, run_dir)
+    if not args.trace:
+        probed = probe_setups(args) if workload.setup_samples is None \
+            else None
+        passes, once = run_passes(workload,
+                                  pass_count(workload, args.seconds))
+        factor = statistics.median(batch[0].scale for batch in passes)
+        # The serve workload's set-ups are its daemon starts, timed
+        # during the passes; they are scaled by the run's median factor.
+        setup = probed or [s * factor for s in workload.setup_samples]
+        metrics = end_to_end(workload, setup, passes, once)
+        records = [r for batch in passes for r in batch] + once
+        if args.workload == "serve":
+            metrics.update(tier_metrics(records, len(passes)))
+        summary = workload.summary(records) + [
+            f"times in reference seconds (hostspeed.py): measured x "
+            f"{factor:.4g}, the run's median host factor"]
+        return metrics, records, [], summary
+
+    # Traced run: rounds of an untraced pass then a traced one, so the
+    # host's drift falls on both sides alike.  The first traced pass
+    # covers every op, once-per-run ops included, and alone gives the
+    # per-layer metrics; the overhead compares each op's fastest
+    # untraced and traced time over the rounds.
+    names = workload.overhead_ops
+    tracer = LayerTracer()
+    untraced, traced = [], []
+    for i in range(OVERHEAD_ROUNDS):
+        untraced += workload.run_pass(names)
+        trace_dir = os.path.join(run_dir, f"trace-{i}")
+        os.makedirs(trace_dir)
+        if i == 0:
+            first = traced_run(tracer, lambda: workload.run_pass(
+                trace_dir=trace_dir) + workload.run_once())
+            snaps = [tracer.snapshot()] + load_traces(trace_dir)
+        else:
+            traced += traced_run(LayerTracer(), lambda: workload.run_pass(
+                names, trace_dir=trace_dir))
+    workload.check(untraced + traced, deep=False)
+    workload.check(first, deep=True)
+    untraced_s = sum(per_op(untraced, min))
+    traced_s = sum(per_op(traced + [r for r in first if names is None or
+                                    r.name in names], min))
     metrics = {name: (value, unit, "") for name, (value, unit) in
                layer_metrics(merge_snapshots(*snaps),
-                             report_totals(traced)).items()}
-    metrics["trace.untraced_s"] = (untraced_s, "s",
-                                   "ops: " + (", ".join(names) if names
-                                              else "the whole pass"))
-    metrics["trace.traced_s"] = (traced_s, "s", "same ops, traced")
+                             report_totals(first)).items()}
+    ops = ", ".join(names) if names else "every op of a pass"
+    metrics["trace.untraced_s"] = (
+        untraced_s, "s", f"{ops}; each op's best of {OVERHEAD_ROUNDS}")
+    metrics["trace.traced_s"] = (traced_s, "s", "the same, traced")
     metrics["trace.overhead"] = (traced_s / untraced_s, "x",
                                  "traced / untraced")
-    metrics.update(tier_metrics(untraced))
+    metrics.update(tier_metrics(untraced, OVERHEAD_ROUNDS))
     counts = {name: metrics[name][0] for name in EXACT_COUNTS}
     differ = compare_counts(args.workload, args.seed, counts)
     notes = [f"exact count differs from an earlier run of this code: {n}"
              for n in differ]
-    return metrics, untraced + traced, notes, workload.summary(traced)
+    summary = workload.summary(first) + [
+        "times in this traced run are as measured, not scaled"]
+    return metrics, untraced + traced + first, notes, summary
 
 
 def run_all(args):

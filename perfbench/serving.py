@@ -5,12 +5,19 @@ Each pass starts a daemon on an empty store and submits every key once
 (cold: the pool computes, the store is written), then again (warm: the
 daemon's memory tier answers), then restarts the daemon on the same
 store and submits every key a third time (the disk store answers).  A
-key is a litmus case name and an analysis.  Each submit is timed from
+key is a litmus case name and an analysis.
+
+The client, the daemon and its pool workers share one CPU.  With one
+closed-loop client at most one job is in flight, so a second CPU adds
+only cross-CPU wake-ups to each RPC; on a shared host their latency
+drifts with the host's load (same-seed runs differed by up to 60%), and
+the client's calibration, which runs on its own CPU, cannot see it.  Each submit is timed from
 the ``submit`` call until its report has been fetched; while a job runs
 the client polls ``status`` every :data:`POLL_S` seconds.
 Daemon starts are set-up, never timed.
 """
 
+import json
 import os
 import random
 import select
@@ -38,8 +45,10 @@ class Daemon:
 
     def __init__(self, run_dir, store, trace_out=None):
         self.socket = os.path.join(run_dir, "daemon.sock")
+        self.rss_out = os.path.join(run_dir, "daemon-rss.json")
         command = [sys.executable, os.path.join(HERE, "daemon.py"),
-                   "--socket", self.socket, "--store", store]
+                   "--socket", self.socket, "--store", store,
+                   "--rss-out", self.rss_out]
         if trace_out:
             command += ["--trace-out", trace_out]
         start = time.perf_counter()
@@ -54,6 +63,8 @@ class Daemon:
             raise RuntimeError(f"daemon did not start (said {line!r})")
 
     def stop(self, client):
+        """Shut the daemon down; returns its and its workers' summed
+        peak RSS in KiB."""
         try:
             client.shutdown(drain=True)
         finally:
@@ -62,6 +73,9 @@ class Daemon:
             self.proc.wait(timeout=DAEMON_TIMEOUT)
         finally:
             self.kill()
+        with open(self.rss_out) as fh:
+            peaks = json.load(fh)
+        return peaks["daemon_kb"] + peaks["workers_kb"]
 
     def kill(self):
         if self.proc.poll() is None:
@@ -83,12 +97,17 @@ class Op:
 class Serve:
     """The serve workload (see the module docstring)."""
 
+    #: Wall seconds one pass takes here, daemon starts, checks and
+    #: calibration included (sets the pass count).
+    pass_s = 4.5
     overhead_ops = None
-    warmup = True
 
     def __init__(self, seed, run_dir):
         from repro.litmus import all_cases
         from repro.serve import run_job, spec_for_name, strip_volatile
+        # Daemons started from here inherit the CPU (see the module
+        # docstring).
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
         self.seed, self.run_dir = seed, run_dir
         keys = [(case.name, analysis) for case in all_cases()
                 for analysis in BACKENDS]
@@ -102,21 +121,28 @@ class Serve:
             for name, spec, analysis in self.keys}
         #: Daemon start times: this workload's set-up.
         self.setup_samples = []
+        #: The largest peak RSS (KiB) of a daemon and its workers.
+        self.children_kb = 0
         self._passes = 0
 
-    def run_pass(self, names=None, trace_dir=None):
-        """One cold/warm/store pass; returns its records.  With
-        ``trace_dir`` the daemons write their span totals there."""
+    def run_once(self):
+        """Every submit is timed; nothing runs once."""
+        return []
+
+    def run_pass(self, names=None, trace_dir=None, meter=None):
+        """One cold/warm/store pass, ticking ``meter`` before each
+        submit; returns its records.  With ``trace_dir`` the daemons
+        write their span totals there."""
         store = os.path.join(self.run_dir, f"store-{self._passes}")
         self._passes += 1
         trace = (lambda n: os.path.join(trace_dir, f"daemon-{n}.json")) \
             if trace_dir else (lambda n: None)
-        records = self._session(store, trace(0), TIERS[:2])
-        records += self._session(store, trace(1), TIERS[2:])
+        records = self._session(store, trace(0), TIERS[:2], meter)
+        records += self._session(store, trace(1), TIERS[2:], meter)
         shutil.rmtree(store, ignore_errors=True)
         return records
 
-    def _session(self, store, trace_out, tiers):
+    def _session(self, store, trace_out, tiers, meter):
         """Start a daemon on ``store``, run ``tiers``, stop it."""
         from repro.serve import ServeClient
         daemon = Daemon(self.run_dir, store, trace_out)
@@ -129,15 +155,18 @@ class Serve:
         try:
             records = []
             for tier, source in tiers:
-                records += self._loop(client, tier, source)
-            return records
+                records += self._loop(client, tier, source, meter)
         finally:
-            daemon.stop(client)
+            peak_kb = daemon.stop(client)
+        self.children_kb = max(self.children_kb, peak_kb)
+        return records
 
-    def _loop(self, client, tier, source):
+    def _loop(self, client, tier, source, meter):
         from repro.serve import ServeError
         records = []
         for name, spec, analysis in self.keys:
+            if meter is not None:
+                meter.tick()
             op = Op(f"{name}/{analysis}", tier, spec, analysis)
             start = time.perf_counter()
             try:
@@ -164,9 +193,6 @@ class Serve:
             got = strip_volatile(record.result["report"])
             if record.failure is None and got != self.expected[key]:
                 record.failure = "daemon report differs from in-process"
-
-    def gated(self, records):
-        return records
 
     def summary(self, records):
         return [f"closed loop, 1 client, {len(self.keys)} keys, "

@@ -3,9 +3,11 @@ checks that every result is right.
 
 A workload is built once per run from ``--seed`` (that is its set-up)
 and then runs *passes*.  A pass is a fixed list of operations; the run
-repeats passes until ``--seconds`` have gone by.  Every operation is
-timed on its own and checked against a known answer after the pass, so
-checking never lands inside a timing.
+repeats passes a fixed number of times, set by ``--seconds`` and the
+workload's nominal pass time.  Ops that only need checking, not timing,
+run once per run.  Every operation is timed on its own and checked
+against a known answer after the pass, so checking never lands inside a
+timing.
 
 Nothing here imports :mod:`repro` at module level: the set-up probe
 times the imports as part of set-up.
@@ -38,12 +40,15 @@ REPAIR_SKIP = ("secretbox-c",)
 class Record:
     """One timed operation and what its check found."""
 
-    __slots__ = ("op", "name", "kind", "seconds", "complete", "failure",
-                 "result")
+    __slots__ = ("op", "name", "kind", "seconds", "scale", "complete",
+                 "failure", "result")
 
     def __init__(self, op, seconds, complete, result):
         self.op, self.name, self.kind = op, op.name, op.kind
         self.seconds, self.complete = seconds, complete
+        #: Factor to reference seconds (see ``hostspeed.py``); 1 for a
+        #: time reported as measured.
+        self.scale = 1.0
         self.failure = None
         self.result = result
 
@@ -89,31 +94,46 @@ class AnalysisOp:
 class InProcessWorkload:
     """Shared pass runner for the workloads that run in this process."""
 
-    #: Names of the ops whose untraced time the traced run compares
-    #: against (None: the whole pass).
+    #: Wall seconds one pass takes here, checks and calibration included
+    #: (sets the pass count).
+    pass_s = 1.0
+    #: Names of the ops the traced run's overhead is measured on (None:
+    #: the whole pass).
     overhead_ops = None
-    #: Run the untraced reference once unmeasured first (short passes).
-    warmup = True
     #: Set-up times measured by the workload itself (None: the runner
     #: times fresh-process set-ups).
     setup_samples = None
+    #: Peak RSS (KiB) of processes the workload started and measured.
+    children_kb = 0
 
     def __init__(self, seed):
         self.seed = seed
+        #: Ops run, and timed, in every pass.
         self.ops = []
+        #: Ops run once per run, checked but not timed.
+        self.once = []
 
     def check(self, records, deep):
         """Set ``record.failure`` on every wrong result.  ``deep`` adds
         the costly checks, run once per run."""
         raise NotImplementedError
 
-    def run_pass(self, names=None, trace_dir=None):
-        """Run every op once (only those in ``names``, if given).  Spans
-        of in-process ops need no ``trace_dir``."""
+    def run_pass(self, names=None, trace_dir=None, meter=None):
+        """Run every op once (only those in ``names``, if given), ticking
+        ``meter`` before each.  Spans of in-process ops need no
+        ``trace_dir``."""
+        return self._run([op for op in self.ops
+                          if names is None or op.name in names], meter)
+
+    def run_once(self):
+        """Run the ops that are checked once per run."""
+        return self._run(self.once)
+
+    def _run(self, ops, meter=None):
         records = []
-        for op in self.ops:
-            if names is not None and op.name not in names:
-                continue
+        for op in ops:
+            if meter is not None:
+                meter.tick()
             start = time.perf_counter()
             try:
                 report = op.run()
@@ -125,10 +145,6 @@ class InProcessWorkload:
                 record = Record(op, time.perf_counter() - start,
                                 not report.truncated, report)
             records.append(record)
-        return records
-
-    def gated(self, records):
-        """The records the end-to-end timings are taken over."""
         return records
 
     def summary(self, records):
@@ -144,10 +160,10 @@ class Table2(InProcessWorkload):
     """The eight Table 2 cells, two-phase at the Table 2 bounds, serially
     in paper order (what ``repro table2`` runs)."""
 
+    pass_s = 75.0
     #: The table does not fit twice in one run, so the overhead is taken
     #: on one of its deep searches alone.
     overhead_ops = ("secretbox-fact",)
-    warmup = False
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -186,8 +202,14 @@ class Table2(InProcessWorkload):
 
 class Litmus(InProcessWorkload):
     """The litmus registry at each case's own options plus a seeded draw
-    of loop-free random programs, each decided by both backends.  The
-    draw is cross-checked and counted but not timed (see :meth:`gated`)."""
+    of loop-free random programs, each decided by both backends.
+
+    Only the registry is timed.  The draw changes with the seed and its
+    cost is heavy-tailed (over 200 programs the p97 decision time still
+    moves 28% between seeds), so it is run once per run, cross-checked
+    and counted."""
+
+    pass_s = 0.75
 
     def __init__(self, seed):
         super().__init__(seed)
@@ -201,7 +223,7 @@ class Litmus(InProcessWorkload):
                     f"{case.name}/{backend}", project, backend,
                     {"stop_at_first": False}, kind="registry",
                     target=case.name, expected=project.expected))
-        self.ops += self.random_programs()
+        self.once = self.random_programs()
 
     def random_programs(self):
         """The seed's draw: the ``plain`` flavour of
@@ -233,11 +255,9 @@ class Litmus(InProcessWorkload):
                 if flagged != (op.expected == "flagged"):
                     record.failure = (f"flagged={flagged}, expected "
                                       f"{op.expected}")
-        self.unconfirmed = 0
         for pair in by_target.values():
             if not all(r.complete for r in pair):
                 # Agreement where one side truncated is not evidence.
-                self.unconfirmed += 1
                 continue
             sets = {observations(r.result) for r in pair}
             if len(sets) > 1:
@@ -245,18 +265,13 @@ class Litmus(InProcessWorkload):
                     record.failure = record.failure or \
                         "pitchfork and sps flag different observations"
 
-    def gated(self, records):
-        # The draw changes with the seed and its cost is heavy-tailed
-        # (over 200 programs the p97 decision time still moves 28%
-        # between seeds), so timings are taken over the registry only.
-        return [r for r in records if r.kind == "registry"]
-
     def summary(self, records):
         draw = [r.seconds * 1000.0 for r in records if r.kind == "random"]
+        unconfirmed = {r.op.target for r in records if not r.complete}
         return [f"random draw: {len(draw)} decisions, median "
                 f"{statistics.median(draw):.4g} ms, max {max(draw):.4g} ms "
                 f"(checked, not in the timings above)",
-                f"{self.unconfirmed} target(s) with a truncated side "
+                f"{len(unconfirmed)} target(s) with a truncated side "
                 f"(incomplete, not agreement)"]
 
 
@@ -267,6 +282,8 @@ class Litmus(InProcessWorkload):
 class Repair(InProcessWorkload):
     """The ``repair`` analysis at CLI defaults over every flagged litmus
     case and the flagged Table 2 cells."""
+
+    pass_s = 2.5
 
     def __init__(self, seed):
         super().__init__(seed)
