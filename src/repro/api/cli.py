@@ -354,9 +354,9 @@ def cmd_analyze(args) -> int:
     if args.check and (report.truncated or report.vacuous):
         return 2
     if args.check and record is not None and not record.agree:
-        # explained-budget: the sets differ but a budget truncated at
-        # least one side — agreement was not established, which is a
-        # coverage failure, not a violation.
+        # unconfirmed / explained-budget: a budget truncated at least
+        # one side — agreement was not established, which is a coverage
+        # failure, not a violation.
         return 2
     return 0
 

@@ -35,9 +35,9 @@ CLEAN_STATUSES = frozenset({"secure", "clean", "ok", "already-secure",
 #: section (backend agreement from ``repro analyze --cross-check``:
 #: ``backends``, per-backend sorted flagged-observation lists and
 #: completeness flags, the ``agree`` verdict and its ``classification``
-#: — ``agree`` / ``explained-budget`` / ``disagree`` — plus per-backend
-#: wall times, the only volatile fields, zeroed by the store's
-#: ``strip_volatile``);
+#: — ``agree`` / ``unconfirmed`` / ``explained-budget`` / ``disagree``
+#: — plus per-backend wall times, the only volatile fields, zeroed by
+#: the store's ``strip_volatile``);
 #: 7 added the ``telemetry``
 #: section (search telemetry from :mod:`repro.obs.telemetry`: the
 #: per-fetch-PC exploration ``heatmap``, the per-fork-level completed
@@ -237,11 +237,13 @@ class Report:
     #: ``backends`` (the pair compared), per-backend
     #: ``<name>_observations`` (sorted flagged-observation reprs) and
     #: ``<name>_complete`` (no budget interfered), the ``agree``
-    #: verdict, and its ``classification`` — ``"agree"``,
-    #: ``"explained-budget"`` (sets differ but a budget truncated at
-    #: least one side) or ``"disagree"`` (both complete yet different:
-    #: a real bug in one backend).  Per-backend wall times are the only
-    #: volatile fields.  None when no cross-check ran.
+    #: verdict (equal sets from two complete runs), and its
+    #: ``classification`` — ``"agree"``, ``"unconfirmed"`` (equal sets,
+    #: but a budget truncated at least one side, so the equality is not
+    #: evidence), ``"explained-budget"`` (sets differ but a budget
+    #: truncated at least one side) or ``"disagree"`` (both complete yet
+    #: different: a real bug in one backend).  Per-backend wall times
+    #: are the only volatile fields.  None when no cross-check ran.
     cross_check: Optional[Mapping[str, Any]] = None
     details: Mapping[str, Any] = field(default_factory=dict)
 

@@ -324,12 +324,13 @@ class Machine:
                          addr: int) -> List[int]:
         """Indices j < below of stores with a resolved address equal to
         ``addr`` (the pattern ``buf(j) = store(_, a)``)."""
+        concretize = self.evaluator.concretize
         out = []
         for j, instr in buf.items():
             if j >= below:
                 break
-            if (isinstance(instr, TStore) and instr.addr_resolved()
-                    and self.evaluator.concretize(instr.addr) == addr):
+            if (type(instr) is TStore and instr.addr is not None
+                    and concretize(instr.addr) == addr):
                 out.append(j)
         return out
 
@@ -474,9 +475,8 @@ class Machine:
         hazard_k: Optional[int] = None
         hazard_load: Optional[TValue] = None
         for k, entry in config.buf.items():
-            if k <= i or not isinstance(entry, TValue):
-                continue
-            if not entry.is_load_result():
+            # Younger resolved loads only: TValue with a load annotation.
+            if k <= i or type(entry) is not TValue or entry.addr is None:
                 continue
             jk, ak = entry.dep, entry.addr
             jk_lt_i = (jk is BOTTOM) or (jk < i)  # ⊥ < n for every n

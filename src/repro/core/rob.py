@@ -19,11 +19,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Tuple, Union
 
-from .transient import TFence, Transient, assigns, resolved_value_of
+from .transient import (TFence, TLoad, TOp, Transient, TValue,
+                        resolved_value_of)
 from .values import BOTTOM, Operand, Operands, Reg, Value, _Bottom
 
 #: Sentinel for the lazily computed oldest-fence cache.
 _UNCOMPUTED = -2
+
+#: The transient forms ``(r = _)`` that assign a register.
+_ASSIGNING = (TOp, TValue, TLoad)
 
 
 class ReorderBuffer:
@@ -81,8 +85,8 @@ class ReorderBuffer:
 
     def items(self) -> Iterator[Tuple[int, Transient]]:
         """(index, instruction) pairs in increasing index order."""
-        for off, instr in enumerate(self._slots):
-            yield self._base + off, instr
+        return zip(range(self._base, self._base + len(self._slots)),
+                   self._slots)
 
     def first_fence(self) -> Optional[int]:
         """Index of the oldest in-flight fence, or None.
@@ -101,6 +105,28 @@ class ReorderBuffer:
                     break
             self._fence = f
         return None if f == -1 else f
+
+    def producer_before(self, i: int,
+                        reg: Reg) -> Optional[Tuple[int, Transient]]:
+        """The youngest entry strictly before index ``i`` of the form
+        ``(reg = _)``, as (index, instruction); None if there is none.
+
+        This is the search at the heart of the register resolve function
+        (Fig 3), and it runs for every operand on every step, so it is
+        one tight backwards walk over the slot tuple: no generator, no
+        per-slot bounds check, and an exact class test (the transient
+        forms have no subclasses).
+        """
+        slots = self._slots
+        name = reg.name
+        end = i - self._base
+        if end > len(slots):
+            end = len(slots)
+        for off in range(end - 1, -1, -1):
+            instr = slots[off]
+            if type(instr) in _ASSIGNING and instr.dest.name == name:
+                return self._base + off, instr
+        return None
 
     # -- mutations (all return fresh buffers) ------------------------------
 
@@ -178,15 +204,13 @@ def resolve_register(buf: ReorderBuffer, i: int, regs: Dict[Reg, Value],
     pending, return ``⊥``; with no in-flight assignment, fall back to the
     register file ``ρ``.
     """
-    for j in reversed(buf.indices()):
-        if j >= i:
-            continue
-        instr = buf[j]
-        if assigns(instr, reg):
-            return resolved_value_of(instr)
-    if reg not in regs:
+    hit = buf.producer_before(i, reg)
+    if hit is not None:
+        return resolved_value_of(hit[1])
+    value = regs.get(reg)
+    if value is None:
         raise KeyError(f"register {reg!r} is not in the register file")
-    return regs[reg]
+    return value
 
 
 def resolve_operand(buf: ReorderBuffer, i: int, regs: Dict[Reg, Value],
@@ -202,7 +226,8 @@ def resolve_operands(buf: ReorderBuffer, i: int, regs: Dict[Reg, Value],
     """Pointwise lifting; None if *any* operand is still unresolved."""
     out = []
     for rv in rvs:
-        v = resolve_operand(buf, i, regs, rv)
+        v = rv if isinstance(rv, Value) else \
+            resolve_register(buf, i, regs, rv)
         if v is BOTTOM:
             return None
         out.append(v)

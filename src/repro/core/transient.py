@@ -180,15 +180,6 @@ class TRetMarker(Transient):
         return "ret"
 
 
-def assigns(instr: Transient, reg: Reg) -> bool:
-    """Does this transient instruction have the form ``(reg = _)``?
-
-    Used by the register resolve function (Fig 3) to find the latest
-    in-flight assignment to a register.
-    """
-    return isinstance(instr, (TOp, TValue, TLoad)) and instr.dest == reg
-
-
 def resolved_value_of(instr: Transient) -> Union[Value, _Bottom]:
     """The value an in-flight assignment provides, or ``⊥``.
 

@@ -147,18 +147,12 @@ def _operand_sources(config: Config, i: int, args) -> Optional[Set[Token]]:
     older buffer entry assigning each register, or the architectural
     register file.  None when an operand is still unresolved (the
     directive is not enabled, hence not analyzable)."""
-    from ..core.transient import assigns
     tokens: Set[Token] = set()
     for arg in args:
         if not isinstance(arg, Reg):
             continue
-        source = None
-        for j in range(i - 1, config.buf.min_index() - 1, -1):
-            entry = config.buf.get(j)
-            if entry is not None and assigns(entry, arg):
-                source = ("buf", j)
-                break
-        tokens.add(source if source is not None else ("reg", arg.name))
+        hit = config.buf.producer_before(i, arg)
+        tokens.add(("reg", arg.name) if hit is None else ("buf", hit[0]))
     return tokens
 
 

@@ -89,7 +89,7 @@ from ..core.observations import (Observation, Rollback, Trace,
                                  is_secret_dependent)
 from ..core.rob import resolve_operands
 from ..core.transient import (TBr, TCallMarker, TFence, TJmpi, TJump, TLoad,
-                              TOp, TRetMarker, TStore, TValue, assigns)
+                              TOp, TRetMarker, TStore, TValue)
 from ..core.values import BOTTOM, Value
 from ..engine import (EngineStats, ExecutionEngine, MachineState,
                       PruningStats, SeenStates, SubsumptionStats,
@@ -873,10 +873,13 @@ class Explorer:
         prediction, mispredicted-jmpi timing)."""
         config = path.config
         for i, entry in config.buf.items():
-            if isinstance(entry, TOp):
+            # Exact class tests: this sweep runs on every step, and most
+            # entries (resolved values, jumps, markers) match no arm.
+            kind = type(entry)
+            if kind is TOp:
                 if self._can(config, Execute(i)):
                     return [[Execute(i)]]
-            elif isinstance(entry, TLoad) and entry.pred is None:
+            elif kind is TLoad and entry.pred is None:
                 arms = self._load_arms(config, i, entry)
                 if arms is None:
                     continue
@@ -887,7 +890,7 @@ class Explorer:
                              and other.value_resolved()
                              and self._can(config, Execute(i, j))]
                 return arms
-            elif isinstance(entry, TStore):
+            elif kind is TStore:
                 if not entry.value_resolved():
                     if self._can(config, Execute(i, "value")):
                         return [[Execute(i, "value")]]
@@ -928,7 +931,7 @@ class Explorer:
                                                       entry.args) and \
                             self._can(config, Execute(i, "addr")):
                         return [[Execute(i, "addr")], [_Defer(i)]]
-            elif isinstance(entry, TBr):
+            elif kind is TBr:
                 if self.options.assume_unknown_branches:
                     continue  # all branches delayed in symbolic mode
                 # Resolve immediately only when the guess was correct
@@ -938,7 +941,7 @@ class Explorer:
                 if arm is not None and arm == entry.guess and \
                         self._can(config, Execute(i)):
                     return [[Execute(i)]]
-            elif isinstance(entry, TJmpi):
+            elif kind is TJmpi:
                 if i in path.delayed:
                     continue
                 target = self._actual_jmpi_target(config, i, entry)
@@ -977,9 +980,9 @@ class Explorer:
         for j, other in config.buf.items():
             if j >= i:
                 break
-            if not isinstance(other, TStore):
+            if type(other) is not TStore:
                 continue
-            if other.addr_resolved():
+            if other.addr is not None:
                 if self.machine.evaluator.concretize(other.addr) == addr:
                     matching.append((j, True))
             else:
@@ -1043,12 +1046,11 @@ class Explorer:
         timing of the address resolution — and hence whether its
         ``fwd`` observation happens before a rollback squashes the
         entry — is not schedule-independent."""
+        buf = config.buf
         for rv in args:
-            if isinstance(rv, Value):
-                continue
-            for j in reversed(config.buf.indices()):
-                if j < i and assigns(config.buf[j], rv):
-                    return True
+            if not isinstance(rv, Value) and \
+                    buf.producer_before(i, rv) is not None:
+                return True
         return False
 
     def _eventual_address(self, config: Config, i: int,
@@ -1191,8 +1193,8 @@ class Explorer:
             # for every store, and a store whose *address* depends on a
             # secret leaks exactly here (``fwd a_sec``).
             for j, other in config.buf.items():
-                if (isinstance(other, TStore) and other.value_resolved()
-                        and not other.addr_resolved()
+                if (type(other) is TStore and other.addr is None
+                        and isinstance(other.src, Value)
                         and self._can(config, Execute(j, "addr"))):
                     return Execute(j, "addr")
             return Execute(i)

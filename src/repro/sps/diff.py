@@ -26,8 +26,11 @@ run was cut by a search budget (``max_paths`` truncation or per-path
 ``max_fetches``/``max_steps`` exhaustion — non-terminating product
 programs built from ``ret``-through-just-written-return-address loops
 are the common cause).  Such records are ``explained-budget``, reported
-but not failures.  A divergence between two *complete* runs is a real
-``disagree`` — the harness minimises it and exits nonzero.
+but not failures.  Equal sets where either run was cut short are
+``unconfirmed``: agreement where one side is incomplete is not
+evidence, so only equal sets from two complete runs ``agree``.  A
+divergence between two *complete* runs is a real ``disagree`` — the
+harness minimises it and exits nonzero.
 
 Run it directly::
 
@@ -83,24 +86,38 @@ class DiffRecord:
     minimized: Optional[Program] = None
 
     @property
+    def complete(self) -> bool:
+        """No search budget interfered with either run."""
+        return self.pf_complete and self.sps_complete
+
+    @property
     def agree(self) -> bool:
-        return self.pf_obs == self.sps_obs
+        """Equal sets from two complete runs: the only agreement that
+        is evidence."""
+        return self.pf_obs == self.sps_obs and self.complete
+
+    @property
+    def unconfirmed(self) -> bool:
+        """Equal sets, but a search budget cut at least one run short,
+        so the equality may hide what the missing coverage would
+        flag."""
+        return self.pf_obs == self.sps_obs and not self.complete
 
     @property
     def explained(self) -> bool:
         """Divergent, but a search budget interfered with either run."""
-        return not self.agree and not (self.pf_complete and self.sps_complete)
+        return self.pf_obs != self.sps_obs and not self.complete
 
     @property
     def disagree(self) -> bool:
         """Divergent with both runs complete: a real bug somewhere."""
-        return not self.agree and self.pf_complete and self.sps_complete
+        return self.pf_obs != self.sps_obs and self.complete
 
     @property
     def status(self) -> str:
-        if self.agree:
-            return "agree"
-        return "explained-budget" if self.explained else "DISAGREE"
+        if self.pf_obs == self.sps_obs:
+            return "agree" if self.complete else "unconfirmed"
+        return "DISAGREE" if self.complete else "explained-budget"
 
     def section(self) -> dict:
         """The report's ``cross_check`` mapping (schema 8).
@@ -417,10 +434,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _print_record(record, args.verbose)
 
     agree = sum(1 for r in records if r.agree)
+    unconfirmed = sum(1 for r in records if r.unconfirmed)
     explained = sum(1 for r in records if r.explained)
     disagree = [r for r in records if r.disagree]
     print(f"== {len(records)} comparisons: {agree} agree, "
-          f"{explained} explained-budget, {len(disagree)} disagree ==")
+          f"{unconfirmed} unconfirmed, {explained} explained-budget, "
+          f"{len(disagree)} disagree ==")
     return 1 if disagree else 0
 
 

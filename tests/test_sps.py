@@ -160,6 +160,31 @@ class TestDiffHarness:
         assert record.explained and not record.disagree
         assert record.status == "explained-budget"
 
+    def test_equal_sets_with_a_truncated_side_are_unconfirmed(self):
+        for pf_complete, sps_complete in ((False, True), (True, False),
+                                          (False, False)):
+            record = self._record(("read 1_secret",), ("read 1_secret",),
+                                  pf_complete, sps_complete)
+            assert record.unconfirmed
+            assert not (record.agree or record.explained or
+                        record.disagree)
+            assert record.status == "unconfirmed"
+            section = record.section()
+            assert section["agree"] is False
+            assert section["classification"] == "unconfirmed"
+
+    def test_diff_summary_counts_unconfirmed_separately(self, capsys,
+                                                        monkeypatch):
+        from repro.sps import diff
+        records = [self._record((), (), True, True),
+                   self._record((), (), False, True),
+                   self._record(("read 1_secret",), (), False, True)]
+        monkeypatch.setattr(diff, "sweep_random", lambda n, seed: records)
+        assert diff.main(["--skip-registry", "--random", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "== 3 comparisons: 1 agree, 1 unconfirmed, " \
+               "1 explained-budget, 0 disagree ==" in out
+
     def test_divergence_with_both_complete_is_a_bug(self):
         record = self._record(("read 1_secret",), (), True, True)
         assert record.disagree and record.status == "DISAGREE"
@@ -261,6 +286,13 @@ class TestCrossCheckCLI:
         assert code == 0
         out = capsys.readouterr().out
         assert "cross-check [pitchfork vs sps]: AGREE" in out
+
+    def test_cross_check_on_a_truncated_run_is_unconfirmed(self, capsys):
+        code = main(["analyze", "v1_fig8_fence", "--cross-check",
+                     "--max-paths", "1", "--check"])
+        assert code == 2  # coverage failure, never a clean pass
+        out = capsys.readouterr().out
+        assert "cross-check [pitchfork vs sps]: UNCONFIRMED" in out
 
     def test_plain_analyze_has_no_cross_check_section(self, capsys):
         assert main(["analyze", "kocher_01", "--json"]) == 1
