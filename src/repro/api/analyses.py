@@ -134,27 +134,35 @@ class AnalysisHub:
         return f"<AnalysisHub {sorted(_REGISTRY)} on {self._project.name!r}>"
 
 
+def explore_knobs(options: AnalysisOptions) -> dict:
+    """The exploration knobs :func:`~repro.pitchfork.analyze` takes from
+    ``options``, beyond the per-phase ``bound``/``fwd_hazards`` — the
+    one list every Pitchfork run (analyses and the ``repro.sps.diff``
+    oracle alike) draws from."""
+    return dict(stop_at_first=options.stop_at_first,
+                explore_aliasing=options.explore_aliasing,
+                jmpi_targets=options.jmpi_targets,
+                rsb_targets=options.rsb_targets,
+                max_paths=options.max_paths,
+                max_steps=options.max_steps,
+                rsb_policy=options.rsb_policy,
+                strategy=options.strategy,
+                shards=options.shards,
+                seed=options.seed,
+                prune=options.prune,
+                subsume=options.subsume,
+                budget_seconds=options.budget_seconds,
+                mcts_c=options.mcts_c,
+                mcts_playout=options.mcts_playout,
+                telemetry=options.telemetry)
+
+
 def _explore(project: Project, options: AnalysisOptions, *,
              bound: int, fwd_hazards: bool):
     """One Pitchfork run with the project's full knob set."""
     return analyze(project.program, project.config(), bound=bound,
                    fwd_hazards=fwd_hazards, name=project.name,
-                   stop_at_first=options.stop_at_first,
-                   explore_aliasing=options.explore_aliasing,
-                   jmpi_targets=options.jmpi_targets,
-                   rsb_targets=options.rsb_targets,
-                   max_paths=options.max_paths,
-                   max_steps=options.max_steps,
-                   rsb_policy=options.rsb_policy,
-                   strategy=options.strategy,
-                   shards=options.shards,
-                   seed=options.seed,
-                   prune=options.prune,
-                   subsume=options.subsume,
-                   budget_seconds=options.budget_seconds,
-                   mcts_c=options.mcts_c,
-                   mcts_playout=options.mcts_playout,
-                   telemetry=options.telemetry)
+                   **explore_knobs(options))
 
 
 @register

@@ -5,10 +5,10 @@ the machine configuration (already an immutable value — see
 :class:`~repro.core.config.Config`) plus the three append-only logs
 (schedule, trace, notes) as :class:`~repro.engine.journal.Log`
 cons-lists, the per-path budget counters, and any small driver-local
-scratch (delayed indices).
+bookkeeping (delayed indices, settled branch outcomes).
 
 The seed Explorer copied three Python lists and a set at every fork;
-:meth:`fork` here copies five references and one small set.  The logs
+:meth:`fork` here copies five references and a few small sets.  The logs
 materialize back into tuples only when a path completes, so a fork that
 is quickly pruned never pays for its prefix at all.
 """
@@ -32,7 +32,7 @@ class MachineState:
 
     __slots__ = ("config", "schedule", "trace", "notes", "delayed",
                  "deferred", "sleep", "fetches", "steps", "exhausted",
-                 "finished", "depth")
+                 "finished", "depth", "mispredicted")
 
     def __init__(self, config: Config,
                  schedule: Log = EMPTY_LOG,
@@ -42,7 +42,8 @@ class MachineState:
                  fetches: int = 0, steps: int = 0,
                  deferred: Optional[Set[int]] = None,
                  sleep: Optional[Set[tuple]] = None,
-                 depth: int = 0):
+                 depth: int = 0,
+                 mispredicted: Optional[Set[int]] = None):
         self.config = config
         self.schedule = schedule      #: Log of Directive
         self.trace = trace            #: Log of Observation
@@ -63,6 +64,11 @@ class MachineState:
         #: driver bookkeeping for the search-telemetry fork-level
         #: histogram, never consulted by the semantics
         self.depth = depth
+        #: buffer indices whose branch has already resolved as
+        #: mispredicted — a memo derived from the configuration (the
+        #: outcome is fixed while the entry lives), so it is not an
+        #: obligation and stays out of :meth:`residual_obligations`
+        self.mispredicted = mispredicted if mispredicted is not None else set()
 
     def fork(self) -> "MachineState":
         """An independent state sharing all history with this one."""
@@ -70,7 +76,7 @@ class MachineState:
                             self.notes, set(self.delayed),
                             self.fetches, self.steps,
                             set(self.deferred), set(self.sleep),
-                            self.depth)
+                            self.depth, set(self.mispredicted))
 
     def residual_obligations(self):
         """What this state still owes the exploration, beyond its

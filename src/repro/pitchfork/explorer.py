@@ -767,6 +767,12 @@ class Explorer:
                     self._skipped += 1
                 path.delayed = {i for i in path.delayed
                                 if i in config.buf}
+                if path.mispredicted:
+                    # The squash may reuse an index; a resolved branch
+                    # leaves a TJump at its own index.
+                    path.mispredicted = {
+                        i for i in path.mispredicted
+                        if type(config.buf.get(i)) is TBr}
                 if path.deferred:
                     path.deferred = {i for i in path.deferred
                                      if i in config.buf}
@@ -872,6 +878,7 @@ class Explorer:
         choice points (per-load forwarding outcomes, aliasing
         prediction, mispredicted-jmpi timing)."""
         config = path.config
+        mispredicted = path.mispredicted
         for i, entry in config.buf.items():
             # Exact class tests: this sweep runs on every step, and most
             # entries (resolved values, jumps, markers) match no arm.
@@ -934,12 +941,19 @@ class Explorer:
             elif kind is TBr:
                 if self.options.assume_unknown_branches:
                     continue  # all branches delayed in symbolic mode
+                if i in mispredicted:
+                    continue
                 # Resolve immediately only when the guess was correct
                 # (mispredicted branches are delayed until oldest) and no
-                # older fence blocks execution.
+                # older fence blocks execution.  A mispredicted outcome
+                # cannot change while the entry lives, so it is
+                # remembered until a rollback squashes the index.
                 arm = self._actual_br_target(config, i, entry)
-                if arm is not None and arm == entry.guess and \
-                        self._can(config, Execute(i)):
+                if arm is None:
+                    continue
+                if arm != entry.guess:
+                    mispredicted.add(i)
+                elif self._can(config, Execute(i)):
                     return [[Execute(i)]]
             elif kind is TJmpi:
                 if i in path.delayed:

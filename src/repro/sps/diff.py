@@ -46,16 +46,16 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..api.analyses import explore_knobs
 from ..api.project import AnalysisOptions
 from ..core.config import Config
 from ..core.isa import (Br, Call, Fence, Instruction, Load, Op, Ret, Store)
 from ..core.lattice import PUBLIC, SECRET
-from ..core.machine import Machine
 from ..core.memory import Memory, Region
 from ..core.program import Program
 from ..core.values import Reg, Value, operands
 from ..litmus import all_cases
-from ..pitchfork.explorer import ExplorationOptions, Explorer
+from ..pitchfork import analyze
 from ..verify.generators import (ARENA, ARENA_SIZE, REGS, random_config,
                                  random_program)
 from .interp import explore_sps
@@ -141,20 +141,14 @@ class DiffRecord:
 
 def _pf_observations(program: Program, config: Config,
                      options: AnalysisOptions) -> Tuple[Tuple[str, ...], bool]:
-    """The explorer's flagged observation set, plus completeness."""
-    opts = ExplorationOptions(
-        bound=options.bound,
-        fwd_hazards=options.fwd_hazards,
-        explore_aliasing=options.explore_aliasing,
-        jmpi_targets=options.jmpi_targets,
-        rsb_targets=options.rsb_targets,
-        max_paths=options.max_paths,
-        max_steps=options.max_steps)
-    explorer = Explorer(Machine(program, rsb_policy=options.rsb_policy), opts)
-    result = explorer.explore(config, stop_at_first=False)
-    obs = tuple(sorted({repr(v.observation) for v in result.violations}))
-    complete = not result.truncated and result.exhausted_paths == 0
-    return obs, complete
+    """The explorer's flagged observation set, plus completeness, under
+    every exploration knob ``options`` sets (prune, subsume, strategy,
+    shards, ...), not only the defaults."""
+    knobs = dict(explore_knobs(options), stop_at_first=False)
+    report = analyze(program, config, bound=options.bound,
+                     fwd_hazards=options.fwd_hazards, **knobs)
+    obs = tuple(sorted({repr(v.observation) for v in report.violations}))
+    return obs, not report.truncated
 
 
 def _sps_observations(program: Program, config: Config,

@@ -46,6 +46,13 @@ class _RefPath:
     finished: bool = False
     deferred: Set[int] = field(default_factory=set)
 
+    @property
+    def mispredicted(self) -> Set[int]:
+        """Never remembers a settled branch: every sweep re-resolves
+        every branch, so the equivalence tests compare the explorer's
+        memo against recomputation."""
+        return set()
+
 
 class ReferenceExplorer(Explorer):
     """Fork-by-deep-copy exploration: the pre-engine implementation.

@@ -1,13 +1,19 @@
 """White-box tests of the Pitchfork explorer's scheduler decisions."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.asm import ProgramBuilder, assemble
 from repro.core import Config, Machine, Memory, Region, Value, PUBLIC, SECRET
 from repro.core.directives import Execute, Fetch, Retire
+from repro.core.transient import TBr
+from repro.engine import MachineState
 from repro.litmus import find_case
 from repro.pitchfork import (ExplorationOptions, Explorer, analyze,
                              enumerate_schedules)
+from repro.verify.generators import random_config, random_program
 
 
 def _machine(src):
@@ -141,3 +147,75 @@ class TestExtensions:
                          stop_at_first=False, max_paths=4000)
         assert not report.secure
         assert not report.truncated
+
+
+class _SettledCheckingExplorer(Explorer):
+    """Re-resolves every remembered branch before each eager sweep."""
+
+    remembered = 0
+
+    def _eager_actions(self, path):
+        config = path.config
+        for i in path.mispredicted:
+            entry = config.buf.get(i)
+            assert type(entry) is TBr, (i, entry)
+            target = self._actual_br_target(config, i, entry)
+            assert target is not None and target != entry.guess, (i, entry)
+            self.remembered += 1
+        return super()._eager_actions(path)
+
+
+class TestSettledBranches:
+    """``MachineState.mispredicted`` only ever holds live branches whose
+    resolved target differs from the guess."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 16),
+           prune=st.sampled_from(("none", "sleepset", "full")),
+           subsume=st.booleans(),
+           strategy=st.sampled_from(("dfs", "mcts")),
+           fwd_hazards=st.booleans(),
+           explore_aliasing=st.booleans())
+    def test_remembered_branches_are_mispredicted(
+            self, seed, prune, subsume, strategy, fwd_hazards,
+            explore_aliasing):
+        rng = random.Random(seed)
+        program = random_program(rng, length=rng.randrange(6, 12))
+        config = random_config(rng)
+        options = ExplorationOptions(
+            bound=rng.choice((4, 6, 8)), fwd_hazards=fwd_hazards,
+            explore_aliasing=explore_aliasing, prune=prune,
+            subsume=subsume, strategy=strategy, seed=seed,
+            max_paths=2000)
+        _SettledCheckingExplorer(Machine(program), options).explore(
+            config, stop_at_first=False)
+
+    def test_memo_is_consulted(self):
+        """A branch mispredicted far from the window's end is settled
+        once and skipped by the later sweeps of its path."""
+        m = _machine("br ltu, %ra, 4 -> 2, 5\n%rb = op mov, 1\n"
+                     "%rc = op mov, 2\n%rd = op mov, 3\nhalt")
+        c = Config.initial({"ra": 9}, Memory(), 1)
+        explorer = _SettledCheckingExplorer(m, ExplorationOptions(bound=8))
+        plain = Explorer(m, ExplorationOptions(bound=8)).explore(c)
+        result = explorer.explore(c)
+        assert explorer.remembered > 0
+        assert [p.schedule for p in result.paths] == \
+            [p.schedule for p in plain.paths]
+
+    def test_fork_copies_independently(self):
+        state = MachineState(Config.initial({}, Memory(), 1))
+        state.mispredicted.add(3)
+        clone = state.fork()
+        assert clone.mispredicted == {3}
+        clone.mispredicted.add(4)
+        state.mispredicted.discard(3)
+        assert state.mispredicted == set() and clone.mispredicted == {3, 4}
+
+    def test_not_an_obligation(self):
+        """Derived from the configuration, so it never separates two
+        states for subsumption."""
+        a = MachineState(Config.initial({}, Memory(), 1))
+        b = a.fork()
+        b.mispredicted.add(2)
+        assert a.residual_obligations() == b.residual_obligations()

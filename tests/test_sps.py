@@ -9,8 +9,8 @@ import pytest
 
 from repro.api import (AnalysisOptions, Project, Report, get_analysis,
                        main)
-from repro.core import Config, Machine, Memory, PUBLIC, SECRET, Value, \
-    layout, run_sequential, secret_observations
+from repro.core import Config, Machine, Memory, PUBLIC, Region, SECRET, \
+    Value, layout, run_sequential, secret_observations
 from repro.core.isa import Br, Call, Fence, Jmpi, Load, Op, Ret, Store
 from repro.core.program import Program
 from repro.core.values import Reg, operands
@@ -19,6 +19,7 @@ from repro.sps import SpecSite, explore_sps, site_counts, speculation_sites
 from repro.sps.diff import (DiffRecord, compare, minimize,
                             random_callret_config, random_callret_program,
                             sweep_random)
+from repro.verify.generators import ARENA, ARENA_SIZE
 
 RA, RB = Reg("ra"), Reg("rb")
 
@@ -245,6 +246,87 @@ class TestDiffHarness:
         small = minimize(prog, cfg, still_fails=leaks)
         assert leaks(small)
         assert len(dict(small.items())) < len(dict(prog.items()))
+
+
+#: The exploration matrix the two oracles must agree across.
+MATRIX = [dict(prune=prune, subsume=subsume, strategy=strategy)
+          for prune in ("none", "sleepset", "full")
+          for subsume in (False, True)
+          for strategy in ("dfs", "mcts")]
+
+
+def _matrix_id(knobs) -> str:
+    return "{prune}-{sub}-{strategy}".format(
+        sub="subsume" if knobs["subsume"] else "plain", **knobs)
+
+
+def _via_mov():
+    """A v4 leak through an already-resolved op.  Sequentially clean:
+    the store at 1 overwrites the secret cell 0x43 before the load at 3
+    reads it.  Speculatively the load bypasses that store and reads the
+    secret, ``mov`` copies it, and resolving the address of the store at
+    5 leaks it as ``fwd``."""
+    r0, r1, r2 = Reg("r0"), Reg("r1"), Reg("r2")
+    program = Program({
+        1: Store(Value(0), operands(ARENA, r1), 3),
+        3: Load(r0, operands(ARENA + 3), 4),
+        4: Op(r2, "mov", operands(r0), 5),
+        5: Store(Value(2), operands(ARENA, r2), 6),
+    }, entry=1)
+    mem = Memory().with_region(Region("arena", ARENA, ARENA_SIZE, PUBLIC),
+                               None)
+    mem = mem.write_all([(ARENA + off, Value(0)) for off in range(ARENA_SIZE)])
+    mem = mem.write_all([(ARENA + 3, Value(5, SECRET))])
+    regs = {"r0": Value(0), "r1": Value(3), "r2": Value(0)}
+    return program, Config.initial(regs, mem, pc=1)
+
+
+class TestOracleMatrix:
+    """The two oracles agree at every point of the exploration matrix,
+    not only at the defaults: ``compare`` hands the explorer every knob
+    of its options."""
+
+    @pytest.mark.parametrize("knobs", MATRIX, ids=_matrix_id)
+    def test_registry_never_disagrees(self, knobs):
+        records = [compare(case.program, case.config(),
+                           AnalysisOptions.for_case(case, **knobs),
+                           name=case.name)
+                   for case in CASES]
+        assert [r.name for r in records if r.disagree] == []
+
+    @pytest.mark.parametrize("knobs", MATRIX, ids=_matrix_id)
+    def test_via_mov_is_flagged(self, knobs):
+        program, config = _via_mov()
+        assert not secret_observations(
+            run_sequential(Machine(program), config).trace)
+        record = compare(program, config,
+                         AnalysisOptions(bound=8, **knobs), name="via_mov")
+        assert record.agree, record.status
+        assert "fwd 69_secret" in record.pf_obs
+
+    def test_options_reach_the_explorer(self, monkeypatch):
+        from repro.sps import diff
+        seen = {}
+
+        def fake_analyze(program, config, **kw):
+            seen.update(kw)
+            return _FakeReport()
+
+        monkeypatch.setattr(diff, "analyze", fake_analyze)
+        program, config = _via_mov()
+        options = AnalysisOptions(prune="full", subsume=True,
+                                  strategy="mcts", seed=5, shards=2)
+        diff._pf_observations(program, config, options)
+        assert {k: seen[k] for k in ("prune", "subsume", "strategy",
+                                     "seed", "shards")} == \
+            dict(prune="full", subsume=True, strategy="mcts", seed=5,
+                 shards=2)
+        assert seen["stop_at_first"] is False
+
+
+class _FakeReport:
+    violations = ()
+    truncated = False
 
 
 class TestSpsAnalysis:
