@@ -30,7 +30,7 @@ from .cli import main
 from .manager import AnalysisManager, CacheInfo
 from .project import (AnalysisOptions, PAPER_BOUND_FWD, PAPER_BOUND_NO_FWD,
                       Project, TABLE2_BOUND_FWD, TABLE2_BOUND_NO_FWD)
-from .report import (PhaseReport, Report, SCHEMA_VERSION, ShardReport,
+from .report import (PhaseReport, Report, SCHEMA_VERSION,
                      from_analysis_report)
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "PAPER_BOUND_FWD", "PAPER_BOUND_NO_FWD", "PhaseReport",
     "PitchforkAnalysis", "Project", "RepairAnalysis", "Report",
     "SCHEMA_VERSION",
-    "SCTAnalysis", "ShardReport", "TABLE2_BOUND_FWD", "TABLE2_BOUND_NO_FWD",
+    "SCTAnalysis", "TABLE2_BOUND_FWD", "TABLE2_BOUND_NO_FWD",
     "TwoPhaseAnalysis", "available_analyses", "from_analysis_report",
     "get_analysis", "main", "register",
 ]

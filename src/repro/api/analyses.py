@@ -147,7 +147,6 @@ def explore_knobs(options: AnalysisOptions) -> dict:
                 max_steps=options.max_steps,
                 rsb_policy=options.rsb_policy,
                 strategy=options.strategy,
-                shards=options.shards,
                 seed=options.seed,
                 prune=options.prune,
                 subsume=options.subsume,
@@ -177,7 +176,7 @@ class PitchforkAnalysis(Analysis):
         t0 = time.perf_counter()
         report = _explore(project, options, bound=options.bound,
                           fwd_hazards=options.fwd_hazards)
-        details = {"strategy": options.strategy, "shards": options.shards,
+        details = {"strategy": options.strategy,
                    "prune": options.prune, "subsume": options.subsume}
         if options.strategy == "random":
             details["seed"] = options.seed
@@ -228,8 +227,6 @@ class SpsAnalysis(Analysis):
         # dropped (the ``*_ignored`` convention).
         if options.strategy != "dfs":
             details["strategy_ignored"] = options.strategy
-        if options.shards > 1:
-            details["shards_ignored"] = options.shards
         if options.prune != "sleepset":
             details["prune_ignored"] = options.prune
         if options.subsume:
@@ -320,10 +317,6 @@ class SymbolicAnalysis(Analysis):
         details = {"worlds": result.replay.worlds,
                    "solver_calls": result.replay.solver_calls,
                    "prune": options.prune}
-        if options.shards > 1:
-            # The symbolic replay is not sharded (only the explorer
-            # is); surface the ignored knob instead of dropping it.
-            details["shards_ignored"] = options.shards
         if options.subsume:
             # Concrete-state subsumption is unsound for symbolic
             # replay: two equal concrete configurations may differ in
@@ -446,7 +439,7 @@ class RepairAnalysis(Analysis):
     """Counterexample-guided mitigation synthesis (:mod:`repro.mitigate`).
 
     Runs the repair→re-verify loop with this project's full exploration
-    knob set (bound, hazards, aliasing, strategy, sharding): localize
+    knob set (bound, hazards, aliasing, strategy, pruning): localize
     each violation to its program points, place a targeted fence or SLH
     mask, re-run the verifier, and — once clean — delta-debug the
     placement down to a locally minimal one.  The report's ``status``
@@ -477,7 +470,7 @@ class RepairAnalysis(Analysis):
             jmpi_targets=options.jmpi_targets,
             rsb_targets=options.rsb_targets,
             max_paths=options.max_paths, max_steps=options.max_steps,
-            strategy=options.strategy, shards=options.shards,
+            strategy=options.strategy,
             seed=options.seed, prune=options.prune,
             subsume=options.subsume)
         final = result.final_report
@@ -486,7 +479,6 @@ class RepairAnalysis(Analysis):
                    "verifications": result.verifications,
                    "rounds": result.rounds,
                    "strategy": options.strategy,
-                   "shards": options.shards,
                    "prune": options.prune,
                    "subsume": options.subsume}
         if options.budget_seconds is not None:

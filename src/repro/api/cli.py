@@ -56,7 +56,6 @@ def _option_overrides(args) -> Dict:
         "max_schedules": args.max_schedules,
         "max_worlds": args.max_worlds,
         "strategy": args.strategy,
-        "shards": args.shards,
         "seed": args.seed,
         "prune": args.prune,
         "subsume": getattr(args, "subsume", None),
@@ -124,9 +123,6 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--strategy", choices=available_strategies(),
                         help="frontier search order (default: dfs); the "
                              "flagged violation set is order-invariant")
-    parser.add_argument("--shards", type=int,
-                        help="split DT(bound) into subtree jobs on a "
-                             "process pool of this size (default: 1)")
     parser.add_argument("--seed", type=int,
                         help="RNG seed for --strategy random (and the "
                              "metatheory analysis)")
@@ -533,19 +529,6 @@ def cmd_submit(args) -> int:
                  in _imply_telemetry(args, _option_overrides(args)).items()
                  if value is not None}
 
-    def echo(event):
-        if not args.progress:
-            return
-        if event.get("kind") == "shard":
-            print(f"  shard {event['index']}: "
-                  f"{event['paths_explored']} paths, "
-                  f"{event['violations']} violations "
-                  f"[{event['cumulative_violations']} total]",
-                  file=sys.stderr)
-        elif event.get("kind") == "split":
-            print(f"  split into {event['jobs']} jobs "
-                  f"({event['shards']} shards)", file=sys.stderr)
-
     # The analysis runs in the daemon's processes, out of the ambient
     # tracer's reach — the capture records the client-side RPC phases
     # (submit, wait) and carries the report's telemetry section in its
@@ -565,8 +548,7 @@ def cmd_submit(args) -> int:
                            {"job": job.get("job"),
                             "cached": bool(job.get("cached"))})
             ts = tracer.start() if tracer is not None else 0.0
-            report, cache = client.wait(job["job"], timeout=args.timeout,
-                                        on_event=echo)
+            report, cache = client.wait(job["job"], timeout=args.timeout)
             if tracer is not None:
                 tracer.add("wait", "client", ts,
                            {"source": cache.get("source")})
@@ -599,7 +581,7 @@ def cmd_trace(args) -> int:
     """``repro trace``: inspect a ``--trace`` span capture.
 
     ``summary`` aggregates the capture (span counts and wall time per
-    (category, name) series, processes, shards, the header's telemetry
+    (category, name) series, processes, the header's telemetry
     digest); ``export --format chrome`` converts it to Chrome
     ``trace_event`` JSON loadable in Perfetto / ``chrome://tracing``.
     """
@@ -622,8 +604,7 @@ def cmd_trace(args) -> int:
         what = " ".join(str(head[k]) for k in ("command", "target")
                         if head.get(k))
         print(f"capture: {summary['spans']} span(s), "
-              f"{summary['processes']} process(es), "
-              f"shards {summary['shards'] or '[]'}"
+              f"{summary['processes']} process(es)"
               + (f" — {what}" if what else ""))
         for series in summary["series"]:
             print(f"  {series['cat'] + '/' + series['name']:<24} "
@@ -843,8 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--check", action="store_true",
                           help="CI gate: exit nonzero on any violation, "
                                "truncated coverage, or a vacuous pass")
-    p_submit.add_argument("--progress", action="store_true",
-                          help="stream per-shard progress to stderr")
     p_submit.add_argument("--timeout", type=float, default=600.0,
                           help="give up after this many seconds (exit 3)")
     p_submit.add_argument("--trace", metavar="FILE",

@@ -71,8 +71,6 @@ class AnalysisOptions:
     #: Frontier search order: "dfs" (seed order), "bfs", "random",
     #: "coverage" — set-invariant by Theorem B.20.
     strategy: str = "dfs"
-    #: DT(bound) subtree shards run on a process pool (1 = in-process).
-    shards: int = 1
     #: Partial-order reduction over the schedule tree: "none" (raw
     #: Definition B.18), "sleepset" (the default reduction), or "full"
     #: (window capping + degenerate-arm collapse) — all flag the same
@@ -137,7 +135,7 @@ class AnalysisOptions:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         for name in ("max_paths", "max_steps", "max_schedules", "max_worlds",
-                     "sct_max_schedules", "experiments", "shards",
+                     "sct_max_schedules", "experiments",
                      "max_repair_rounds"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

@@ -57,7 +57,9 @@ CLEAN_STATUSES = frozenset({"secure", "clean", "ok", "already-secure",
 #: :mod:`repro.mitigate`); 2 added ``schema_version`` itself, the
 #: search-strategy fields and per-shard stats; 1 (implicit, no marker)
 #: is the pre-sharding shape.  All older versions are still accepted by
-#: :meth:`Report.from_dict`.
+#: :meth:`Report.from_dict`.  In-analysis sharding was later removed:
+#: reports no longer carry ``shard_stats``, and the list in older
+#: reports is ignored on load.
 SCHEMA_VERSION = 8
 
 
@@ -90,38 +92,6 @@ class PhaseReport:
     def from_dict(cls, data: Mapping[str, Any]) -> "PhaseReport":
         return cls(**{f: data[f] for f in
                       ("name", "bound", "secure", "paths_explored",
-                       "states_stepped", "truncated", "wall_time")
-                      if f in data})
-
-
-@dataclass(frozen=True)
-class ShardReport:
-    """One shard of a sharded exploration (job = schedule prefix +
-    initial config; see :mod:`repro.pitchfork.sharding`)."""
-
-    index: int                 #: position in the deterministic merge order
-    prefix_len: int            #: schedule-prefix actions replayed
-    paths_explored: int = 0
-    violations: int = 0
-    states_stepped: int = 0
-    truncated: bool = False
-    wall_time: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "prefix_len": self.prefix_len,
-            "paths_explored": self.paths_explored,
-            "violations": self.violations,
-            "states_stepped": self.states_stepped,
-            "truncated": self.truncated,
-            "wall_time": self.wall_time,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ShardReport":
-        return cls(**{f: data[f] for f in
-                      ("index", "prefix_len", "paths_explored", "violations",
                        "states_stepped", "truncated", "wall_time")
                       if f in data})
 
@@ -190,9 +160,6 @@ class Report:
     vacuous: bool = False
     wall_time: float = 0.0
     phases: Tuple[PhaseReport, ...] = ()
-    #: Per-shard accounting when the exploration ran sharded (empty for
-    #: single-process runs).
-    shard_stats: Tuple[ShardReport, ...] = ()
     #: The machine-checkable repair certificate when the analysis was a
     #: mitigation synthesis (see
     #: :attr:`repro.mitigate.RepairResult.certificate`): the repaired
@@ -229,8 +196,8 @@ class Report:
     #: ``heatmap`` (pops per fetch PC, stringified-int keys),
     #: ``fork_levels`` (completed schedules per fork depth, same key
     #: convention), ``pops``, ``wall_time``.  Everything except
-    #: ``wall_time`` is deterministic for a fixed configuration
-    #: (including the shard count).  None when telemetry was off.
+    #: ``wall_time`` is deterministic for a fixed configuration.  None
+    #: when telemetry was off.
     telemetry: Optional[Mapping[str, Any]] = None
     #: Backend agreement when the run was cross-checked
     #: (``repro analyze --cross-check``; see :mod:`repro.sps.diff`):
@@ -279,7 +246,6 @@ class Report:
             "vacuous": self.vacuous,
             "wall_time": self.wall_time,
             "phases": [p.to_dict() for p in self.phases],
-            "shard_stats": [s.to_dict() for s in self.shard_stats],
             "mitigation": (dict(self.mitigation)
                            if self.mitigation is not None else None),
             "pruning": (dict(self.pruning)
@@ -303,7 +269,8 @@ class Report:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Report":
-        """Invert :meth:`to_dict` (accepts all older schema versions)."""
+        """Invert :meth:`to_dict` (accepts all older schema versions;
+        an older report's ``shard_stats`` list is ignored)."""
         version = data.get("schema_version", 1)
         if version > SCHEMA_VERSION:
             raise ValueError(f"report schema_version {version} is newer "
@@ -324,8 +291,6 @@ class Report:
             wall_time=data.get("wall_time", 0.0),
             phases=tuple(PhaseReport.from_dict(p)
                          for p in data.get("phases", ())),
-            shard_stats=tuple(ShardReport.from_dict(s)
-                              for s in data.get("shard_stats", ())),
             mitigation=(dict(data["mitigation"])
                         if data.get("mitigation") is not None else None),
             pruning=(dict(data["pruning"])
@@ -354,8 +319,6 @@ class Report:
         """Human-readable multi-line summary."""
         reused = (f", {self.states_reused} reused"
                   if self.states_reused else "")
-        sharded = (f", {len(self.shard_stats)} shards"
-                   if self.shard_stats else "")
         pruned = ""
         if self.pruning is not None and \
                 self.pruning.get("schedules_skipped"):
@@ -367,7 +330,7 @@ class Report:
             subsumed = f", {self.subsumption['states_subsumed']} subsumed"
         head = (f"[{self.analysis}] {self.target}: {self.status.upper()} "
                 f"({self.paths_explored} paths, {self.states_stepped} steps"
-                f"{reused}{sharded}{pruned}{subsumed}, {self.wall_time:.2f}s"
+                f"{reused}{pruned}{subsumed}, {self.wall_time:.2f}s"
                 f"{', truncated' if self.truncated else ''}"
                 f"{', VACUOUS' if self.vacuous else ''})")
         lines = [head]
@@ -474,11 +437,6 @@ def from_analysis_report(report, target: str, analysis: str,
         truncated=report.truncated,
         wall_time=wall_time,
         phases=phases,
-        shard_stats=tuple(
-            ShardReport(s.index, s.prefix_len, s.paths_explored,
-                        s.violations, s.states_stepped, s.truncated,
-                        s.wall_time)
-            for s in getattr(report, "shards", ())),
         pruning=(getattr(report, "pruning", None).to_dict()
                  if getattr(report, "pruning", None) is not None else None),
         subsumption=(getattr(report, "subsumption", None).to_dict()

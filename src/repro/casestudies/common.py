@@ -110,8 +110,7 @@ def table2(case_studies, workers: Optional[int] = None,
 def repair_variant(variant: CaseVariant,
                    bound: int = TABLE2_BOUND_FWD,
                    policy: str = "auto",
-                   max_paths: int = 20_000,
-                   shards: int = 1):
+                   max_paths: int = 20_000):
     """Run mitigation synthesis on a Table 2 cell.
 
     Turns every case study into a repair scenario: the returned
@@ -121,7 +120,7 @@ def repair_variant(variant: CaseVariant,
     """
     from ..api import AnalysisOptions, Project
     options = AnalysisOptions.table2(bound=bound, policy=policy,
-                                     max_paths=max_paths, shards=shards)
+                                     max_paths=max_paths)
     return Project.from_variant(variant, options=options).run("repair")
 
 

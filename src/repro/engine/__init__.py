@@ -33,7 +33,7 @@ The supporting structures make forking free:
   arms whose configuration was already explored with the same or
   weaker residual obligations, behind the ``subsume=`` knob.
 
-See DESIGN.md ("The execution engine", "The frontier and sharding",
+See DESIGN.md ("The execution engine", "The frontier",
 "Partial-order reduction", "State subsumption") for the design
 rationale.
 """

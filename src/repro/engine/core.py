@@ -84,29 +84,6 @@ class EngineStats:
             self.first_violation_steps = steps
             self.first_violation_wall = wall
 
-    def merge(self, other: Optional["EngineStats"]) -> "EngineStats":
-        """Counter-wise sum (sharded explorations merge shard engines).
-
-        The first-violation triple adopts the minimum keyed on machine
-        steps — the deterministic counter — so a sharded merge reports
-        the cheapest shard-local first hit regardless of merge order.
-        """
-        if other is None:
-            return self
-        self.steps += other.steps
-        self.cache_hits += other.cache_hits
-        self.stuck_hits += other.stuck_hits
-        self.forks += other.forks
-        self.reused += other.reused
-        self.states_subsumed += other.states_subsumed
-        if other.first_violation_steps is not None and (
-                self.first_violation_steps is None
-                or other.first_violation_steps < self.first_violation_steps):
-            self.first_violation_pops = other.first_violation_pops
-            self.first_violation_steps = other.first_violation_steps
-            self.first_violation_wall = other.first_violation_wall
-        return self
-
     @property
     def avoided(self) -> int:
         """Total step evaluations the engine did *not* have to run."""

@@ -50,7 +50,7 @@ which is the depth-first descent into the just-forked mispredicted arm:
 Run to completion the frontier still pops every pushed item exactly
 once — Theorem B.20's explored *set* is order-invariant, so ``mcts``
 flags the identical observation set as ``dfs`` (pinned by
-``tests/test_mcts.py`` and the shard/subsume equivalence suites) —
+``tests/test_mcts.py`` and the subsume equivalence suite) —
 only the order, and therefore the time-to-first-violation, changes.
 """
 

@@ -38,8 +38,8 @@ This module supplies the ingredients the drivers prune with:
   :class:`~repro.core.rob.ReorderBuffer`);
 * :func:`hazard_load` — mirrors the machine's store-addr hazard scan so
   the driver can name the (store, load) pair a rollback was for;
-* :class:`PruningStats` — classes explored / schedules skipped, merged
-  across shards and surfaced in reports.
+* :class:`PruningStats` — classes explored / schedules skipped,
+  surfaced in reports.
 
 Pruning levels (:data:`PRUNE_LEVELS`), validated by
 :func:`validate_prune`:

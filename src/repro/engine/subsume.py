@@ -37,8 +37,8 @@ lists under HELPWANTED (up to 50× reported there).
 
 Soundness is differential-tested exactly like POR's: the observation
 set must be identical with subsumption on and off across the litmus
-registry and random programs, composing with every strategy, every
-``--prune`` level, and sharding (``tests/test_subsume_equivalence.py``;
+registry and random programs, composing with every strategy and every
+``--prune`` level (``tests/test_subsume_equivalence.py``;
 the ``BENCH_subsume.json`` CI gate re-checks findings identity on the
 case studies).
 """
@@ -93,9 +93,7 @@ class SeenStates:
     ``subsumes(state)`` asks whether a recorded state covers ``state``
     under the obligation-weakening rule; ``record(state)`` files a kept
     arm (canonicalising its configuration against the bucket).  Both
-    are driven by :meth:`repro.pitchfork.explorer.Explorer.expand`; a
-    sharded exploration keeps one table per shard and merges the
-    counters (the table itself never crosses a process boundary).
+    are driven by :meth:`repro.pitchfork.explorer.Explorer.expand`.
     """
 
     __slots__ = ("_table", "states_seen", "states_subsumed")

@@ -4,7 +4,7 @@ The algorithm is the standard CEGIS shape, with Pitchfork as the
 verifier:
 
 1. **Verify** — run :func:`repro.pitchfork.analyze` (inheriting the
-   caller's bound / hazard / strategy / sharding knobs,
+   caller's bound / hazard / strategy / pruning knobs,
    ``stop_at_first=False`` so every leak in range is visible).
 2. **Filter** — drop violations whose observation the *sequential*
    execution already produces: those are architectural leaks
@@ -416,7 +416,7 @@ def repair(program: Program, config: Config, *,
     ``analyze_kwargs`` are forwarded to :func:`repro.pitchfork.analyze`
     for every verification run (``bound``, ``fwd_hazards``,
     ``explore_aliasing``, ``jmpi_targets``, ``rsb_targets``,
-    ``max_paths``, ``max_steps``, ``strategy``, ``shards``, ``seed``,
+    ``max_paths``, ``max_steps``, ``strategy``, ``seed``,
     ``prune``, ``subsume``).
     """
     synthesizer = MitigationSynthesizer(

@@ -6,8 +6,7 @@ external dependencies:
 * :class:`Tracer` / :data:`NULL_TRACER` — cheap counter-annotated
   spans on a monotonic clock, off by default at the cost of one
   attribute check per instrumented seam; scoped over a call tree as a
-  thread-local ambient via :func:`tracing_context` (the
-  ``shard_context`` pattern);
+  thread-local ambient via :func:`tracing_context`;
 * :class:`MetricsRegistry` — aggregated counters / gauges /
   fixed-bucket histograms, rendered as JSON or flat text (the daemon's
   ``metrics`` RPC);
@@ -15,9 +14,8 @@ external dependencies:
   and per-fork-level schedule histogram reports carry in their
   schema-v7 ``telemetry`` section;
 * :mod:`repro.obs.export` — capture files (JSONL), Chrome
-  ``trace_event`` JSON for Perfetto, deterministic (shard, seq) merge
-  of per-worker span streams, and the ``repro trace summary``
-  aggregation.
+  ``trace_event`` JSON for Perfetto, deterministic ``seq`` ordering,
+  and the ``repro trace summary`` aggregation.
 
 See DESIGN.md, "Observability".
 """

@@ -9,19 +9,21 @@ can ``grep`` it, and a truncated file is still a valid prefix.
 ``repro trace export --format chrome`` turns a capture into Chrome's
 ``trace_event`` format (the ``{"traceEvents": [...]}`` object form),
 loadable in Perfetto or ``chrome://tracing``.  Each span becomes one
-complete ("ph": "X") event; the (pid, tid) tags place parent and
-worker spans on their own tracks, and nesting re-emerges from interval
+complete ("ph": "X") event; the (pid, tid) tags place each thread's
+spans on its own track, and nesting re-emerges from interval
 containment.  Two wrinkles the exporter owns:
 
-* **ordering** — events are sorted by the deterministic (shard, seq)
-  key (parent spans sort first as shard −1), never by timestamp, so
-  the exported byte stream is a pure function of the recorded work;
+* **ordering** — events are sorted by the recorder's dense ``seq``,
+  never by timestamp, so the exported byte stream is a pure function
+  of the recorded work;
 * **clock bases** — each recording process stamps spans on its *own*
-  monotonic clock, and those bases do not align across the pool
-  boundary.  The exporter rebases every (pid, shard) stream to its
+  monotonic clock.  The exporter rebases every process's stream to its
   earliest timestamp, so all tracks start at 0 and durations (the
   honest quantity) are preserved; cross-track offsets are
   presentation, not measurement.
+
+Spans in captures written by older versions may carry a ``shard`` key;
+it is ignored.
 """
 
 from __future__ import annotations
@@ -37,42 +39,30 @@ __all__ = ["sort_spans", "chrome_trace", "write_capture", "read_capture",
 CAPTURE_VERSION = 1
 
 
-def _merge_key(span: Mapping[str, Any]) -> Tuple[int, int]:
-    shard = span.get("shard")
-    return (-1 if shard is None else shard, span["seq"])
-
-
 def sort_spans(spans: Iterable[Mapping[str, Any]]) -> List[Dict[str, Any]]:
-    """Deterministic merged order: (shard, seq), parent stream first.
-
-    This is the merge contract for sharded captures — worker streams
-    concatenate in merge-slot order with their own dense seq numbers,
-    independent of how wall-clock time interleaved them.
-    """
-    return [dict(span) for span in sorted(spans, key=_merge_key)]
+    """Deterministic order: by ``seq``, independent of how wall-clock
+    time interleaved the recording threads."""
+    return [dict(span) for span in sorted(spans, key=lambda s: s["seq"])]
 
 
 def chrome_trace(spans: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     """Spans as a Chrome ``trace_event`` object (Perfetto-loadable)."""
     ordered = sort_spans(spans)
-    bases: Dict[Tuple[Any, Any], float] = {}
+    bases: Dict[Any, float] = {}
     for span in ordered:
-        stream = (span["pid"], span.get("shard"))
-        ts = span["ts"]
-        if ts < bases.get(stream, float("inf")):
-            bases[stream] = ts
+        pid, ts = span["pid"], span["ts"]
+        if ts < bases.get(pid, float("inf")):
+            bases[pid] = ts
     events = []
     for span in ordered:
-        stream = (span["pid"], span.get("shard"))
-        shard = span.get("shard")
         events.append({
             "name": span["name"],
             "cat": span["cat"],
             "ph": "X",
-            "ts": round((span["ts"] - bases[stream]) * 1e6, 3),
+            "ts": round((span["ts"] - bases[span["pid"]]) * 1e6, 3),
             "dur": round(span["dur"] * 1e6, 3),
             "pid": span["pid"],
-            "tid": f"shard-{shard}" if shard is not None else span["tid"],
+            "tid": span["tid"],
             "args": dict(span.get("args") or {}),
         })
     return {"traceEvents": events, "displayTimeUnit": "ms"}
@@ -81,7 +71,7 @@ def chrome_trace(spans: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
 def write_capture(path, spans: Iterable[Mapping[str, Any]],
                   header: Optional[Mapping[str, Any]] = None) -> Path:
     """Write a capture file: one header line, then one line per span
-    in deterministic merged order."""
+    in deterministic order."""
     path = Path(path)
     head = {"kind": "header", "version": CAPTURE_VERSION}
     if header:
@@ -128,14 +118,11 @@ def summarize_spans(spans: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     note spans nest, so durations overlap and do not sum to wall time.
     """
     by_series: Dict[Tuple[str, str], Dict[str, Any]] = {}
-    shards = set()
     processes = set()
     total = 0
     for span in spans:
         total += 1
         processes.add(span["pid"])
-        if span.get("shard") is not None:
-            shards.add(span["shard"])
         key = (span["cat"], span["name"])
         row = by_series.get(key)
         if row is None:
@@ -146,5 +133,4 @@ def summarize_spans(spans: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     series = [by_series[key] for key in sorted(by_series)]
     for row in series:
         row["wall"] = round(row["wall"], 6)
-    return {"spans": total, "processes": len(processes),
-            "shards": sorted(shards), "series": series}
+    return {"spans": total, "processes": len(processes), "series": series}

@@ -14,25 +14,18 @@ Two deterministic distributions, accumulated by the explorer when
   flatten).
 
 Both are plain counters over deterministic quantities, so for a fixed
-configuration (strategy, seed, shards) the section is bit-stable —
+configuration (strategy, seed) the section is bit-stable —
 only its ``wall_time`` field is volatile, and
 :func:`repro.serve.keys.strip_volatile` zeroes it so the daemon's
 byte-identity differential gates are unaffected.  JSON object keys
 must be strings, so :meth:`SearchTelemetry.to_section` stringifies the
 integer PC / depth keys once, at the serialisation boundary; the
 section then round-trips ``Report.to_json``/``from_json`` exactly.
-
-Sharded runs sum per-shard sections (:meth:`SearchTelemetry
-.merge_section`) — counts, like the other shard counters, are
-additive.  Note the *distribution* is shard-count-dependent by
-construction: split-level states are advanced directly (never popped)
-and workers re-pop their replayed subtree roots, so compare heatmaps
-at equal ``--shards`` only.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["SearchTelemetry", "validate_telemetry"]
 
@@ -62,24 +55,6 @@ class SearchTelemetry:
     def record_schedule(self, depth: int) -> None:
         """One completed schedule whose path sat at fork depth ``depth``."""
         self.fork_levels[depth] = self.fork_levels.get(depth, 0) + 1
-
-    def merge(self, other: "SearchTelemetry") -> None:
-        for pc, n in other.heatmap.items():
-            self.heatmap[pc] = self.heatmap.get(pc, 0) + n
-        for depth, n in other.fork_levels.items():
-            self.fork_levels[depth] = self.fork_levels.get(depth, 0) + n
-        self.pops += other.pops
-
-    def merge_section(self, section: Mapping[str, Any]) -> None:
-        """Fold in a serialised section (a shard worker's contribution
-        crossing the process boundary as its string-keyed dict)."""
-        for pc, n in (section.get("heatmap") or {}).items():
-            pc = int(pc)
-            self.heatmap[pc] = self.heatmap.get(pc, 0) + n
-        for depth, n in (section.get("fork_levels") or {}).items():
-            depth = int(depth)
-            self.fork_levels[depth] = self.fork_levels.get(depth, 0) + n
-        self.pops += section.get("pops", 0)
 
     def to_section(self, wall_time: float) -> Dict[str, Any]:
         """The JSON-ready ``telemetry`` report section.

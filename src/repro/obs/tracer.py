@@ -1,9 +1,9 @@
 """Cheap nested spans with a null default — tracing as an ambient.
 
-The stack already counts everything (EngineStats, ShardStats,
-PruningStats, SubsumptionStats, AnytimeStats); what it cannot say is
-*where the time and steps went* — which frontier pops were expensive,
-which shard stalled, what the mcts bandit saw when it picked a branch.
+The stack already counts everything (EngineStats, PruningStats,
+SubsumptionStats, AnytimeStats); what it cannot say is *where the time
+and steps went* — which frontier pops were expensive, what the mcts
+bandit saw when it picked a branch.
 A :class:`Tracer` records that as flat **spans**: named, categorised
 intervals on a monotonic clock, tagged with the recording process and
 thread and annotated with whatever counters the instrumented seam finds
@@ -16,20 +16,14 @@ The cost contract (DESIGN.md, "Observability"): tracing off is the
 default, and an instrumented hot path pays **one attribute check** —
 ``tracer.enabled`` on the :data:`NULL_TRACER` singleton — per
 instrumented region, never per machine step.  Instrumentation
-therefore lives at the frontier-pop / fork-expansion / shard
-granularity, and :class:`ExecutionEngine.step` itself is untouched.
+therefore lives at the frontier-pop / fork-expansion granularity, and
+:class:`ExecutionEngine.step` itself is untouched.
 
-Like the shard pool (:func:`repro.pitchfork.sharding.shard_context`),
-the active tracer is a thread-local **ambient**: a CLI ``--trace`` run
+The active tracer is a thread-local **ambient**: a CLI ``--trace`` run
 scopes one over the whole analysis call tree with
 :func:`tracing_context` instead of threading an unpicklable recorder
-through every options object.  Shard workers are separate processes —
-the parent's ambient does not reach them — so the sharded explorer
-ships a ``trace`` flag to each worker, which records into a local
-tracer and returns its spans for the parent to :meth:`Tracer.adopt`,
-tagged with the shard's merge-slot index.  The (shard, seq) pair is
-the deterministic merge key: seq numbers are dense per recorder, so
-the merged stream's order is a pure function of the work done, not of
+through every options object.  ``seq`` numbers are dense per recorder,
+so a capture's order is a pure function of the work done, not of
 wall-clock interleaving.
 """
 
@@ -39,7 +33,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER",
            "tracing_context", "ambient_tracer"]
@@ -48,46 +42,39 @@ __all__ = ["Span", "Tracer", "NullTracer", "NULL_TRACER",
 class Span:
     """One completed interval: ``[ts, ts + dur)`` on the recorder's
     monotonic clock, with identity tags and counter annotations.
-
-    ``shard`` is None for spans recorded in the parent process and the
-    merge-slot index for spans adopted from a shard worker; ``seq`` is
-    dense per recorder, so ``(shard, seq)`` orders a merged stream
-    deterministically.  Plain slots + dict round-trip keep spans
-    picklable across the pool boundary.
+    ``seq`` is dense per recorder, so it orders a capture
+    deterministically.
     """
 
-    __slots__ = ("name", "cat", "ts", "dur", "pid", "tid", "shard",
-                 "seq", "args")
+    __slots__ = ("name", "cat", "ts", "dur", "pid", "tid", "seq", "args")
 
     def __init__(self, name: str, cat: str, ts: float, dur: float,
-                 pid: int, tid: int, shard: Optional[int], seq: int,
-                 args: Dict[str, Any]):
+                 pid: int, tid: int, seq: int, args: Dict[str, Any]):
         self.name = name
         self.cat = cat
         self.ts = ts
         self.dur = dur
         self.pid = pid
         self.tid = tid
-        self.shard = shard
         self.seq = seq
         self.args = args
 
     def to_dict(self) -> Dict[str, Any]:
         return {"name": self.name, "cat": self.cat, "ts": self.ts,
                 "dur": self.dur, "pid": self.pid, "tid": self.tid,
-                "shard": self.shard, "seq": self.seq, "args": self.args}
+                "seq": self.seq, "args": self.args}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Span":
+        """Inverse of :meth:`to_dict`; the ``shard`` key that spans of
+        older captures carry is ignored."""
         return cls(data["name"], data["cat"], data["ts"], data["dur"],
-                   data["pid"], data["tid"], data.get("shard"),
-                   data["seq"], dict(data.get("args") or {}))
+                   data["pid"], data["tid"], data["seq"],
+                   dict(data.get("args") or {}))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        where = f"shard={self.shard}" if self.shard is not None \
-            else f"pid={self.pid}"
         return (f"Span({self.name!r}/{self.cat}, {self.dur * 1e3:.3f}ms, "
-                f"{where}, seq={self.seq})")
+                f"pid={self.pid}, seq={self.seq})")
 
 
 class _NullSpan:
@@ -111,8 +98,7 @@ class Tracer:
     Hot seams use the explicit two-call form — ``ts = tracer.start()``
     … work … ``tracer.add(name, cat, ts, args)`` — so the disabled path
     never allocates; cool seams use the :meth:`span` context manager.
-    Thread-safe: the daemon records from its event loop and its shard
-    threads into one tracer.
+    Thread-safe, so several threads may record into one tracer.
     """
 
     enabled = True
@@ -135,7 +121,7 @@ class Tracer:
             seq = self._seq
             self._seq += 1
             self.spans.append(Span(name, cat, ts, dur, os.getpid(),
-                                   threading.get_ident(), None, seq,
+                                   threading.get_ident(), seq,
                                    args if args is not None else {}))
 
     def instant(self, name: str, cat: str = "repro", **args: Any) -> None:
@@ -149,22 +135,6 @@ class Tracer:
             yield
         finally:
             self.add(name, cat, ts, args)
-
-    def adopt(self, span_dicts: Iterable[Mapping[str, Any]],
-              shard: int) -> None:
-        """Merge a worker's exported spans under a shard index.
-
-        Worker ``seq`` numbers are kept — (shard, seq) is the
-        deterministic stream order — and the worker's own pid/tid tags
-        survive so each worker renders as its own track.
-        """
-        adopted = []
-        for data in span_dicts:
-            span = Span.from_dict(data)
-            span.shard = shard
-            adopted.append(span)
-        with self._lock:
-            self.spans.extend(adopted)
 
     def export(self) -> List[Dict[str, Any]]:
         """Every recorded span as a plain dict, in recording order."""
@@ -202,10 +172,6 @@ class NullTracer:
     def span(self, name: str, cat: str = "repro", **args: Any):
         return _NULL_SPAN
 
-    def adopt(self, span_dicts: Iterable[Mapping[str, Any]],
-              shard: int) -> None:
-        pass
-
     def export(self) -> List[Dict[str, Any]]:
         return []
 
@@ -231,11 +197,10 @@ _CONTEXT = _TraceContext()
 
 @contextmanager
 def tracing_context(tracer: Optional[Tracer]):
-    """Scope a tracer over a call tree (thread-local, like
-    :func:`~repro.pitchfork.sharding.shard_context`).
+    """Scope a tracer over a call tree (thread-local).
 
     Everything constructed in this thread while the context is active —
-    explorers, managers, sharded merges — records into ``tracer``;
+    explorers, managers — records into ``tracer``;
     ``None`` restores the null default (useful for explicitly shielding
     a subtree).
     """

@@ -8,12 +8,11 @@ flagging secret-labelled observations.
 from .detector import (AnalysisReport, PAPER_BOUND_FWD, PAPER_BOUND_NO_FWD,
                        analyze, analyze_two_phase)
 from .explorer import (ExplorationOptions, ExplorationResult, Explorer,
-                       PathResult, ShardStats, Violation)
+                       PathResult, Violation)
 from .reports import (format_report, format_violation, observation_set,
                       violation_key, violation_set)
 from .schedules import (ScheduleStats, enumerate_schedule_tree,
                         enumerate_schedules, schedule_stats)
-from .sharding import ShardedExplorer
 from .symex import (App, Constraint, ReplayStats, Sym, SymbolicEvaluator,
                     SymbolicFinding, SymbolicResult, SymbolicRunner,
                     analyze_symbolic, analyze_symbolic_result, eval_expr,
@@ -22,7 +21,7 @@ from .symex import (App, Constraint, ReplayStats, Sym, SymbolicEvaluator,
 __all__ = [
     "AnalysisReport", "PAPER_BOUND_FWD", "PAPER_BOUND_NO_FWD", "analyze",
     "analyze_two_phase", "ExplorationOptions", "ExplorationResult",
-    "Explorer", "PathResult", "ShardStats", "ShardedExplorer", "Violation",
+    "Explorer", "PathResult", "Violation",
     "format_report", "format_violation", "ScheduleStats",
     "enumerate_schedule_tree",
     "enumerate_schedules", "schedule_stats", "App", "Constraint",

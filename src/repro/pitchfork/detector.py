@@ -22,7 +22,7 @@ from ..core.program import Program
 from ..engine import PruningStats, SubsumptionStats
 from ..engine.mcts import DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH
 from .explorer import (AnytimeStats, ExplorationOptions, ExplorationResult,
-                       Explorer, ShardStats, Violation)
+                       Explorer, Violation)
 
 #: The speculation bounds used in the paper's evaluation.
 PAPER_BOUND_NO_FWD = 250
@@ -48,8 +48,6 @@ class AnalysisReport:
     #: Steps served from shared prefixes / the engine's step cache
     #: instead of being re-executed (0 for legacy producers).
     states_reused: int = 0
-    #: Per-shard accounting for sharded explorations (empty otherwise).
-    shards: Tuple[ShardStats, ...] = ()
     #: Partial-order-reduction accounting (None for legacy producers):
     #: the pruning level, Mazurkiewicz-class representatives explored,
     #: and pruned subtree roots.  See :mod:`repro.engine.por`.
@@ -89,7 +87,6 @@ def analyze(program: Program, config: Config,
             max_steps: int = 40_000,
             rsb_policy: str = "directive",
             strategy: str = "dfs",
-            shards: int = 1,
             seed: int = 0,
             prune: str = "sleepset",
             subsume: bool = False,
@@ -101,20 +98,15 @@ def analyze(program: Program, config: Config,
     """One Pitchfork run: explore DT(bound), flag secret observations.
 
     ``strategy`` selects the frontier's search order (see
-    :mod:`repro.engine.frontier`); ``shards > 1`` partitions DT(bound)
-    into subtree jobs executed on a process pool (see
-    :mod:`repro.pitchfork.sharding`) — both leave the flagged violation
-    set unchanged (Theorem B.20 quantifies over the schedule set, which
-    neither reordering nor partitioning alters).  Sharding needs to
-    rebuild the machine in worker processes, so a custom ``evaluator``
-    forces the single-process path.  ``prune`` selects the
+    :mod:`repro.engine.frontier`) and leaves the flagged violation set
+    unchanged (Theorem B.20 quantifies over the schedule set, which
+    reordering does not alter).  ``prune`` selects the
     partial-order-reduction level (:mod:`repro.engine.por`):
     ``none``/``sleepset``/``full``, all flagging the same violation
     observations.  ``subsume`` prunes fork arms whose state was already
     explored with the same or weaker residual obligations
     (:mod:`repro.engine.subsume`) — same observation set, far fewer
-    machine steps on re-convergent (loop-heavy) programs; under
-    sharding each shard keeps its own table and the counters merge.
+    machine steps on re-convergent (loop-heavy) programs.
     ``budget_seconds`` runs in anytime mode: exploration stops at the
     wall-clock deadline, the report is marked truncated (never clean),
     and ``report.anytime`` carries honest coverage stats.  ``mcts_c``
@@ -123,8 +115,7 @@ def analyze(program: Program, config: Config,
     per-fetch-PC heatmap and fork-level schedule histogram onto the
     report (:mod:`repro.obs.telemetry`) — pure observation, the
     explored schedule set is unchanged.  ``clock`` injects a monotonic
-    clock for deterministic anytime tests (parent process only; shard
-    workers keep the real clock).
+    clock for deterministic anytime tests.
     """
     machine = Machine(program, evaluator=evaluator, rsb_policy=rsb_policy)
     options = ExplorationOptions(bound=bound, fwd_hazards=fwd_hazards,
@@ -141,14 +132,8 @@ def analyze(program: Program, config: Config,
                                  mcts_c=mcts_c,
                                  mcts_playout=mcts_playout,
                                  telemetry=telemetry)
-    if shards > 1 and evaluator is None:
-        from .sharding import ShardedExplorer
-        result = ShardedExplorer(machine, options, shards=shards,
-                                 keep_paths=False, clock=clock).explore(
-                                     config, stop_at_first=stop_at_first)
-    else:
-        result = Explorer(machine, options, clock=clock).explore(
-            config, stop_at_first=stop_at_first)
+    result = Explorer(machine, options, clock=clock).explore(
+        config, stop_at_first=stop_at_first)
     phase = "v4" if fwd_hazards else "v1/v1.1"
     truncated = result.truncated or result.exhausted_paths > 0
     engine = result.engine
@@ -161,7 +146,6 @@ def analyze(program: Program, config: Config,
                           result.paths_explored, result.applied_steps,
                           truncated, phase, bound,
                           states_reused=result.states_reused,
-                          shards=result.shards,
                           pruning=result.pruning,
                           subsumption=result.subsumption,
                           anytime=result.anytime,

@@ -66,10 +66,7 @@ is cut (see :mod:`repro.engine.por` and DESIGN.md):
   configurations.
 
 All levels flag the same violation observations (the Mazurkiewicz-class
-argument; pinned by ``tests/test_por_equivalence.py``), and pruning
-composes with sharding — shard prefixes record the pruning
-pseudo-actions, so a worker resumes with the exact sleep state of the
-split.
+argument; pinned by ``tests/test_por_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -212,20 +209,6 @@ class PathResult:
 
 
 @dataclass(frozen=True)
-class ShardStats:
-    """One shard of a sharded exploration (see
-    :class:`~repro.pitchfork.sharding.ShardedExplorer`)."""
-
-    index: int                 #: position in deterministic merge order
-    prefix_len: int            #: schedule-prefix actions replayed
-    paths_explored: int
-    violations: int
-    states_stepped: int        #: schedule steps applied (incl. replay)
-    truncated: bool
-    wall_time: float
-
-
-@dataclass(frozen=True)
 class AnytimeStats:
     """Honest coverage accounting for a wall-clock-budgeted run.
 
@@ -285,9 +268,6 @@ class ExplorationResult:
     states_reused: int = 0
     #: The execution engine's counters for this exploration.
     engine: Optional[EngineStats] = None
-    #: Per-shard accounting when the exploration was sharded (empty for
-    #: single-process runs).
-    shards: Tuple[ShardStats, ...] = ()
     #: Partial-order-reduction accounting (see :mod:`repro.engine.por`):
     #: the pruning level, completed representatives, and pruned subtree
     #: roots.
@@ -301,8 +281,7 @@ class ExplorationResult:
     anytime: Optional[AnytimeStats] = None
     #: Search-telemetry section (see :mod:`repro.obs.telemetry`);
     #: present iff ``options.telemetry`` was set.  Already serialised
-    #: (string keys) — it crosses the shard boundary and lands in the
-    #: report verbatim.
+    #: (string keys), so it lands in the report verbatim.
     telemetry: Optional[Dict[str, Any]] = None
 
     @property
@@ -340,8 +319,7 @@ class _Sleep:
 
     ``entry`` is ``("fwd", store, load)`` or ``("redirect", index)``; a
     ``("redirect", None)`` resolves to the buffer's max index when
-    applied (the just-fetched control transfer).  Carried inside fork
-    arms so shard prefixes replay the exact sleep state of the split.
+    applied (the just-fetched control transfer).
     """
 
     entry: tuple
@@ -404,21 +382,17 @@ class Explorer:
         self._applied = 0  #: schedule steps applied in the current run
         self._skipped = 0  #: pruned subtree roots (joins + collapsed arms)
         self._pops = 0     #: frontier pops in the current run
-        #: run start / budget deadline on the injected clock.  Armed
-        #: lazily by explore_from only when unset, so the sharded
-        #: merge can pin one shared deadline across sequential local
-        #: jobs (each job must not restart the budget).
+        #: run start / budget deadline on the injected clock.
         self._started: Optional[float] = None
         self._deadline: Optional[float] = None
         self._deadline_hit = False
         self._frontier_remaining = 0
         #: the SeenStates table (see repro.engine.subsume), one per
-        #: exploration — shard workers each build their own over their
-        #: subtree and only the counters are merged
+        #: exploration
         self._seen: Optional[SeenStates] = \
             SeenStates() if options.subsume else None
-        #: pending violations from subsumed arms, flushed (and drained)
-        #: into the result at _finalize: pruning an arm must not drop
+        #: pending violations from subsumed arms, flushed into the
+        #: result at _finalize: pruning an arm must not drop
         #: observations its *prefix* already produced
         self._subsumed_notes: List[_PendingViolation] = []
 
@@ -431,33 +405,24 @@ class Explorer:
         self._applied = 0
         self._skipped = 0
         self._pops = 0
-        self._started = None
+        self._started = self._clock()
         self._deadline = None
+        if self.options.budget_seconds is not None:
+            self._deadline = self._started + self.options.budget_seconds
         self._deadline_hit = False
         self._frontier_remaining = 0
         self._seen = SeenStates() if self.options.subsume else None
         self._subsumed_notes = []
         self._telemetry = SearchTelemetry() if self.options.telemetry \
             else None
-        return self.explore_from([MachineState(initial)], stop_at_first)
-
-    def explore_from(self, states: List[MachineState],
-                     stop_at_first: bool = False) -> ExplorationResult:
-        """Explore onward from pre-seeded states (shard workers resume a
-        replayed subtree root here).  Unlike :meth:`explore` this does
-        not reset the engine, so prefix-replay accounting survives."""
         result = ExplorationResult()
-        if self._started is None:
-            self._started = self._clock()
-            if self.options.budget_seconds is not None:
-                self._deadline = self._started + self.options.budget_seconds
         frontier = make_frontier(self.options.strategy,
                                  seed=self.options.seed,
                                  pc_of=_state_pc,
                                  program=self.machine.program,
                                  exploration=self.options.mcts_c,
                                  playout_depth=self.options.mcts_playout)
-        frontier.extend(states)
+        frontier.push(MachineState(initial))
         tracer = self._tracer
         telemetry = self._telemetry
         run_started = tracer.start() if tracer.enabled else 0.0
@@ -527,11 +492,9 @@ class Explorer:
         self.engine.count_reused(result.states_reused)
         if self._subsumed_notes:
             # Violations observed on prefixes of subsumed arms, appended
-            # after the path-ordered violations (and drained: a sharded
-            # run finalizes the same explorer once per local job).
+            # after the path-ordered violations.
             result.violations.extend(
                 note.materialize() for note in self._subsumed_notes)
-            self._subsumed_notes = []
         result.engine = self.engine.stats.snapshot()
         result.pruning = PruningStats(self.options.prune,
                                       classes_explored=result.paths_explored,
@@ -548,9 +511,6 @@ class Explorer:
                 frontier_remaining=self._frontier_remaining,
                 first_violation_time=result.engine.first_violation_wall)
         if self._telemetry is not None:
-            # Cumulative per explorer, like the engine counters: a
-            # sharded run's sequential local jobs share this
-            # accumulator and the merge rebuilds the section once.
             result.telemetry = self._telemetry.to_section(
                 self._clock() - self._started)
         return result
@@ -570,7 +530,7 @@ class Explorer:
         if arms is None:
             return None
         self.engine.count_fork(len(arms))
-        return [clone for clone, _actions in self.expand(path, arms)]
+        return self.expand(path, arms)
 
     def _run_path_traced(self, path: MachineState,
                          frontier) -> Optional[List[MachineState]]:
@@ -601,46 +561,40 @@ class Explorer:
         tracer.add("path", "explore", ts, args)
         return forks
 
-    def expand(self, path: MachineState, arms: List[List[_Action]]
-               ) -> List[Tuple[MachineState, Tuple[_Action, ...]]]:
+    def expand(self, path: MachineState,
+               arms: List[List[_Action]]) -> List[MachineState]:
         """Apply each fork arm to a fork of ``path``.
 
-        Returns (clone, actions applied) pairs in arm order — the
-        sharded splitter needs the actions to build job prefixes, and
-        this is the single place both drivers collapse degenerate arms:
-        under ``prune="full"``, an arm whose resulting configuration
-        equals an earlier sibling's (with no observations of its own)
-        heads an identical subtree — Theorem B.1 determinism — and is
-        dropped as a duplicate representative.
+        Returns the live clones in arm order.  Under ``prune="full"``,
+        an arm whose resulting configuration equals an earlier
+        sibling's (with no observations of its own) heads an identical
+        subtree — Theorem B.1 determinism — and is dropped as a
+        duplicate representative.
         """
         base_trace = len(path.trace)
         expanded = []
         for arm in arms:
             clone = path.fork()
             clone.depth = path.depth + 1
-            applied: List[_Action] = []
             for action in arm:
                 if not self._apply(clone, action):
                     break
-                applied.append(action)
-            expanded.append((clone, tuple(applied)))
+            expanded.append(clone)
         if self.options.prune == "full" and len(expanded) >= 2:
-            kept: List[Tuple[MachineState, Tuple[_Action, ...]]] = []
-            for clone, applied in expanded:
+            kept: List[MachineState] = []
+            for clone in expanded:
                 if len(clone.trace) == base_trace and any(
-                        self._same_state(clone, other)
-                        for other, _a in kept):
+                        self._same_state(clone, other) for other in kept):
                     self._skipped += 1
                     continue
-                kept.append((clone, applied))
+                kept.append(clone)
             expanded = kept
         if self._seen is None:
             return expanded
         return self._subsume_arms(path, expanded)
 
     def _subsume_arms(self, path: MachineState,
-                      expanded: List[Tuple[MachineState, Tuple[_Action, ...]]]
-                      ) -> List[Tuple[MachineState, Tuple[_Action, ...]]]:
+                      expanded: List[MachineState]) -> List[MachineState]:
         """Consult the SeenStates table for each live fork arm.
 
         An arm whose post-fork state was already recorded with the same
@@ -657,10 +611,10 @@ class Explorer:
         """
         seen = self._seen
         base_notes = len(path.notes)
-        kept: List[Tuple[MachineState, Tuple[_Action, ...]]] = []
-        for clone, applied in expanded:
+        kept: List[MachineState] = []
+        for clone in expanded:
             if clone.finished or clone.exhausted:
-                kept.append((clone, applied))
+                kept.append(clone)
                 continue
             if seen.subsumes(clone):
                 self.engine.stats.states_subsumed += 1
@@ -668,7 +622,7 @@ class Explorer:
                 self._subsumed_notes.extend(notes[base_notes:])
                 continue
             seen.record(clone)
-            kept.append((clone, applied))
+            kept.append(clone)
         if not kept and expanded and base_notes:
             # Every arm subsumed: no descendant path will materialize
             # the shared prefix's pending violations — flush them here.
@@ -690,16 +644,12 @@ class Explorer:
             return False
         return ca == cb
 
-    def advance_to_fork(self, path: MachineState,
-                        record: Optional[List[_Action]] = None
+    def advance_to_fork(self, path: MachineState
                         ) -> Optional[List[List[_Action]]]:
         """Apply forced moves until the next choice point.
 
         Returns the fork's arms, or None when the path terminated
         (finished, stuck, budget-exhausted, or nothing left to do).
-        ``record`` collects every applied action — the sharded splitter
-        uses it to build self-contained job prefixes, so this is the
-        single copy of the scheduler drive loop both modes share.
         """
         while True:
             if path.exhausted or path.finished:
@@ -716,8 +666,6 @@ class Explorer:
             for action in arms[0]:
                 if not self._apply(path, action):
                     return None
-                if record is not None:
-                    record.append(action)
 
     def _apply(self, path: MachineState, action: _Action) -> bool:
         """Apply one action; False if the path ended (stuck)."""

@@ -20,7 +20,7 @@ def violation_key(violation: Violation) -> Tuple:
 
     Observation + directive + the full witnessing schedule pins the
     exact leak on the exact path, independent of enumeration order —
-    the key the strategy/shard equivalence suite and the CI
+    the key the strategy equivalence suites and the CI
     findings-identity gate both compare on.
     """
     return (repr(violation.observation), repr(violation.directive),
@@ -41,8 +41,8 @@ def observation_set(violations) -> List[str]:
     duplicate witnesses — it is the comparison key of the POR
     differential suite and the ``BENCH_por.json`` findings gate.
     :func:`violation_set`, which pins the exact witnessing schedules,
-    remains the key for order-preserving transformations (strategies,
-    sharding) at a fixed pruning level.
+    remains the key for order-preserving transformations (search
+    strategies) at a fixed pruning level.
     """
     return sorted({repr(v.observation) for v in violations})
 

@@ -1,10 +1,10 @@
 """``repro.serve`` — analysis as a service.
 
 The library-to-service layer: a resident daemon that owns a warm pool
-of shard workers and a persistent content-addressed result store, so
+of job workers and a persistent content-addressed result store, so
 repeated analyses over near-identical inputs (CI pipelines, bound
-ablations, batch sweeps) stop paying process spawn + prefix replay per
-call and survive restarts.
+ablations, batch sweeps) stop paying process spawn per call and
+survive restarts.
 
 Pieces (each its own module):
 

@@ -16,9 +16,9 @@ the RPC socket *and* the process-pool boundary unchanged:
 Both kinds accept ``"preset": "paper" | "table2"`` for the named
 options presets.  :func:`resolve_project` is the single resolution
 path shared by the daemon, its pool workers and the CLI;
-:func:`run_job` is the module-level pool entry point (picklable under
-every multiprocessing start method, like the sharding/manager entry
-points it mirrors).
+:func:`run_job` is the module-level job-pool entry point (picklable
+under every multiprocessing start method, like the manager's entry
+point it mirrors).
 """
 
 from __future__ import annotations
@@ -119,11 +119,9 @@ def effective_options(project: Project,
 
 def run_job(spec: Mapping[str, Any], analysis: str,
             overrides: Mapping[str, Any]) -> Report:
-    """Pool-worker entry point: resolve the target, run the analysis.
+    """Job-pool entry point: resolve the target, run the analysis.
 
-    Runs serially inside one warm worker (the daemon routes
-    ``shards > 1`` jobs through the resident shard pool instead, so a
-    worker never nests a pool of its own).
+    Every job runs whole and serially inside one warm worker.
     """
     project = resolve_project(spec)
     return get_analysis(analysis).run(project, **dict(overrides))

@@ -115,18 +115,16 @@ def strip_volatile(report_dict: Mapping[str, Any]) -> Dict[str, Any]:
     """A deep copy with run-to-run noise removed, for byte-identity
     comparisons between daemon-computed and in-process reports.
 
-    Zeroes every wall-clock reading (top level, per phase, per shard,
-    the first-violation latch, and the anytime consumption stats) and
-    drops the serve layer's ``details.cache`` annotation.  Everything
-    else — statuses, violations, counters, shard/pruning accounting —
-    must match exactly.
+    Zeroes every wall-clock reading (top level, per phase, the
+    first-violation latch, and the anytime consumption stats) and drops
+    the serve layer's ``details.cache`` annotation.  Everything else —
+    statuses, violations, counters, pruning accounting — must match
+    exactly.
     """
     out = json.loads(json.dumps(dict(report_dict), sort_keys=True))
     out["wall_time"] = 0.0
     for phase in out.get("phases", ()):
         phase["wall_time"] = 0.0
-    for shard in out.get("shard_stats", ()):
-        shard["wall_time"] = 0.0
     first_violation = out.get("first_violation")
     if isinstance(first_violation, dict):
         first_violation["wall_time"] = 0.0

@@ -1,7 +1,7 @@
-"""The resident shard-worker pool: one ``ProcessPoolExecutor`` with an
-*owned* lifecycle.
+"""The resident job pool: one ``ProcessPoolExecutor`` with an *owned*
+lifecycle, on which every daemon job runs whole.
 
-The per-call pools documented in :mod:`repro.pitchfork.sharding` exist
+The library's own pools (``AnalysisManager(workers=N)``) are per call,
 because a module-level executor cached behind the library's back
 poisons every process forked after it (the inherited
 ``concurrent.futures`` atexit join deadlocks the child).  The daemon

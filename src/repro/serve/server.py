@@ -3,19 +3,16 @@
 :class:`ReproServer` is an asyncio front end over the subsystem's three
 owned resources:
 
-* a :class:`~repro.serve.pool.WarmPool` of shard workers — started
-  once, health-checked, drained on shutdown.  ``shards == 1`` jobs run
-  *whole* on a warm worker (no process spawn per call); ``shards > 1``
-  jobs run their split/merge in a server thread with the resident pool
-  scoped in via :func:`repro.pitchfork.sharding.shard_context`, so
-  serial, per-call and resident pools share one worker code path;
+* a :class:`~repro.serve.pool.WarmPool` of job workers — started
+  once, health-checked, drained on shutdown.  Every job runs *whole* on
+  a warm worker (no process spawn per call), so parallelism is across
+  jobs, never within one;
 * a :class:`~repro.serve.store.ResultStore` — every computed report is
   filed under its ``(fingerprint, analysis, options)`` content address;
   a warm resubmission is answered from the store (or the in-process
   memory tier above it) without ever touching the pool;
-* a job table with streaming progress — sharded runs publish their
-  per-shard merge events (:class:`ShardStats` fields + partial
-  findings) into the job record, which ``status`` polls page through
+* a job table with streaming progress — each job publishes its state
+  changes into the job record, which ``status`` polls page through
   with a cursor.
 
 RPC surface (JSON-RPC 2.0, newline-delimited; see
@@ -41,15 +38,12 @@ import os
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..api.analyses import get_analysis
-from ..api.project import AnalysisOptions, Project
 from ..api.report import Report
 from ..obs import MetricsRegistry
-from ..pitchfork.sharding import shard_context
 from . import protocol
 from .jobs import effective_options, resolve_project, run_job
 from .keys import fingerprint_digest, store_key
@@ -103,21 +97,15 @@ class Job:
     cancel_requested: bool = False
     events: List[Dict[str, Any]] = field(default_factory=list)
     violations_so_far: int = 0
-    #: The pool future for whole-job dispatches (cancellable while
-    #: queued; a running worker job is cancelled best-effort at merge).
+    #: The pool future (cancellable while queued; a running worker
+    #: job finishes and has its result dropped).
     future: Any = field(default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False)
 
     def add_event(self, event: Dict[str, Any]) -> None:
-        """Append a progress event (called from server loop *and* the
-        sharded-merge thread; the lock keeps seq numbers dense)."""
-        with self._lock:
-            event = dict(event)
-            event["seq"] = len(self.events)
-            self.events.append(event)
-            if "cumulative_violations" in event:
-                self.violations_so_far = event["cumulative_violations"]
+        """Append a progress event, numbered densely by ``seq``."""
+        event = dict(event)
+        event["seq"] = len(self.events)
+        self.events.append(event)
 
     def public_state(self) -> Dict[str, Any]:
         wall = None
@@ -165,9 +153,6 @@ class ReproServer:
         self._memory: Dict[str, Dict[str, Any]] = {}
         self._seq = itertools.count(1)
         self._tasks: set = set()
-        self._threads = ThreadPoolExecutor(
-            max_workers=max(4, self.pool.workers),
-            thread_name_prefix="repro-serve-job")
         self._server: Optional[asyncio.AbstractServer] = None
         self._done: Optional[asyncio.Event] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -231,8 +216,7 @@ class ReproServer:
         # shutdown in a thread so a wedged worker can't hang the loop
         # forever when drain=False.
         await asyncio.get_running_loop().run_in_executor(
-            self._threads, lambda: self.pool.shutdown(drain=drain,
-                                                      timeout=timeout))
+            None, lambda: self.pool.shutdown(drain=drain, timeout=timeout))
         if self._server is not None:
             await self._server.wait_closed()
         if self.socket_path is not None:
@@ -240,7 +224,6 @@ class ReproServer:
                 os.unlink(self.socket_path)
             except OSError:
                 pass
-        self._threads.shutdown(wait=False)
         self._done.set()
 
     # -- connection handling -------------------------------------------------
@@ -368,7 +351,7 @@ class ReproServer:
         job.add_event({"kind": "state", "state": QUEUED})
         self._active_by_key[key] = job.id
         task = self._loop.create_task(
-            self._run_job(job, project, options))
+            self._run_job(job))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         return {**job.public_state(), "cached": False}
@@ -376,9 +359,8 @@ class ReproServer:
     def rpc_status(self, params: Dict[str, Any]) -> Dict[str, Any]:
         job = self._job(params)
         since = int(params.get("since", 0))
-        with job._lock:
-            events = list(job.events[since:])
-            cursor = len(job.events)
+        events = job.events[since:]
+        cursor = len(job.events)
         return {**job.public_state(), "events": events,
                 "next_cursor": cursor}
 
@@ -516,26 +498,17 @@ class ReproServer:
             counters["store"] = self.store.stats.to_dict()
         return counters
 
-    async def _run_job(self, job: Job, project: Project,
-                       options: AnalysisOptions) -> None:
+    async def _run_job(self, job: Job) -> None:
         job.state = RUNNING
         job.started = time.time()
         job.add_event({"kind": "state", "state": RUNNING})
-        loop = asyncio.get_running_loop()
         try:
-            if options.shards > 1:
-                # Split/merge in a server thread; the shard jobs land on
-                # the resident pool via the ambient shard_context.  The
-                # job's event list doubles as the live progress stream.
-                report = await loop.run_in_executor(
-                    self._threads, self._run_sharded, job, project)
-            else:
-                # Whole job on one warm worker: no per-call process
-                # spawn, and a worker crash is one failed job.
-                future = self.pool.submit(
-                    run_job, job.spec, job.analysis, job.overrides)
-                job.future = future
-                report = await asyncio.wrap_future(future)
+            # Whole job on one warm worker: no per-call process spawn,
+            # and a worker crash is one failed job.
+            future = self.pool.submit(
+                run_job, job.spec, job.analysis, job.overrides)
+            job.future = future
+            report = await asyncio.wrap_future(future)
         except asyncio.CancelledError:
             job.state = CANCELLED
             job.error = "cancelled"
@@ -592,10 +565,6 @@ class ReproServer:
                                report_dict.get("states_stepped", 0),
                            "states_reused":
                                report_dict.get("states_reused", 0)}})
-
-    def _run_sharded(self, job: Job, project: Project):
-        with shard_context(pool=self.pool, progress=job.add_event):
-            return get_analysis(job.analysis).run(project, **job.overrides)
 
 
 # -- in-process harness -------------------------------------------------------

@@ -143,7 +143,7 @@ def _pf_observations(program: Program, config: Config,
                      options: AnalysisOptions) -> Tuple[Tuple[str, ...], bool]:
     """The explorer's flagged observation set, plus completeness, under
     every exploration knob ``options`` sets (prune, subsume, strategy,
-    shards, ...), not only the defaults."""
+    ...), not only the defaults."""
     knobs = dict(explore_knobs(options), stop_at_first=False)
     report = analyze(program, config, bound=options.bound,
                      fwd_hazards=options.fwd_hazards, **knobs)
@@ -271,37 +271,45 @@ def random_callret_config(rng: random.Random,
     return Config.initial(regs, mem, pc=1)
 
 
+def random_question(seed: int, i: int
+                    ) -> Tuple[str, Program, Config, AnalysisOptions]:
+    """The ``i``-th seeded draw of :func:`sweep_random`: its name,
+    program, initial configuration and options.  Draws cycle through
+    three flavours: plain loop-free programs, the same under the
+    aliasing-prediction extension, and call/ret programs with random
+    RSB policies."""
+    rng = random.Random(seed * 1_000_003 + i)
+    flavour = ("plain", "aliasing", "callret")[i % 3]
+    if flavour == "plain":
+        program = random_program(rng, length=10)
+        config = random_config(rng)
+        options = AnalysisOptions(bound=12, fwd_hazards=True,
+                                  stop_at_first=False)
+    elif flavour == "aliasing":
+        program = random_program(rng, length=8)
+        config = random_config(rng)
+        options = AnalysisOptions(bound=12, fwd_hazards=True,
+                                  explore_aliasing=True,
+                                  stop_at_first=False)
+    else:
+        program = random_callret_program(rng)
+        config = random_callret_config(rng)
+        policy = rng.choice(("directive", "circular", "refuse"))
+        targets = tuple(sorted(rng.sample(
+            sorted(program.points()), k=min(2, len(program))))) \
+            if policy == "directive" and rng.random() < 0.5 else ()
+        options = AnalysisOptions(bound=8, fwd_hazards=True,
+                                  rsb_policy=policy, rsb_targets=targets,
+                                  stop_at_first=False)
+    return f"random-{flavour}-{seed}-{i}", program, config, options
+
+
 def sweep_random(n: int = 50, seed: int = 0) -> List[DiffRecord]:
-    """``n`` seeded random comparisons cycling through three flavours:
-    plain loop-free programs, the same under the aliasing-prediction
-    extension, and call/ret programs with random RSB policies."""
+    """``n`` seeded random comparisons (see :func:`random_question`)."""
     records = []
     for i in range(n):
-        rng = random.Random(seed * 1_000_003 + i)
-        flavour = ("plain", "aliasing", "callret")[i % 3]
-        if flavour == "plain":
-            program = random_program(rng, length=10)
-            config = random_config(rng)
-            options = AnalysisOptions(bound=12, fwd_hazards=True,
-                                      stop_at_first=False)
-        elif flavour == "aliasing":
-            program = random_program(rng, length=8)
-            config = random_config(rng)
-            options = AnalysisOptions(bound=12, fwd_hazards=True,
-                                      explore_aliasing=True,
-                                      stop_at_first=False)
-        else:
-            program = random_callret_program(rng)
-            config = random_callret_config(rng)
-            policy = rng.choice(("directive", "circular", "refuse"))
-            targets = tuple(sorted(rng.sample(
-                sorted(program.points()), k=min(2, len(program))))) \
-                if policy == "directive" and rng.random() < 0.5 else ()
-            options = AnalysisOptions(bound=8, fwd_hazards=True,
-                                      rsb_policy=policy, rsb_targets=targets,
-                                      stop_at_first=False)
-        record = compare(program, config, options,
-                         name=f"random-{flavour}-{seed}-{i}")
+        name, program, config, options = random_question(seed, i)
+        record = compare(program, config, options, name=name)
         if record.disagree:
             record.minimized = minimize(program, config, options)
         records.append(record)

@@ -7,8 +7,8 @@ first-violation time; a budget-truncated run is never reported as clean
 coverage (``--check`` exit 2).  Deadline checks sit at frontier-pop
 boundaries only, so every test here drives the explorer with an
 *injected fake clock* and asserts exact, machine-speed-independent
-outcomes.  Also pinned: the ``EngineStats`` first-violation latch and
-its min-by-steps merge, schema v6 exact Report round-trips, and the
+outcomes.  Also pinned: the ``EngineStats`` first-violation latch,
+schema v6 exact Report round-trips, and the
 cache-compatibility bar — defaulted budget/mcts knobs are omitted from
 canonical options, so every pre-PR ``ResultStore`` key survives.
 """
@@ -23,7 +23,7 @@ from repro.api.report import SCHEMA_VERSION, Report
 from repro.core.machine import Machine
 from repro.engine.core import EngineStats
 from repro.litmus import find_case
-from repro.pitchfork import ExplorationOptions, Explorer, ShardedExplorer
+from repro.pitchfork import ExplorationOptions, Explorer
 from repro.pitchfork.detector import analyze
 from repro.pitchfork.explorer import AnytimeStats, validate_budget
 from repro.serve.keys import canonical_options, fingerprint_digest, store_key
@@ -41,7 +41,7 @@ class FakeClock:
         return self.now
 
 
-def _case_run(name, clock, budget, stop_at_first=False, shards=1, **kw):
+def _case_run(name, clock, budget, stop_at_first=False, **kw):
     case = find_case(name)
     options = ExplorationOptions(
         bound=case.min_bound, fwd_hazards=case.needs_fwd_hazards,
@@ -49,11 +49,7 @@ def _case_run(name, clock, budget, stop_at_first=False, shards=1, **kw):
         jmpi_targets=case.jmpi_targets, rsb_targets=case.rsb_targets,
         budget_seconds=budget, **kw)
     machine = Machine(case.program, rsb_policy=case.rsb_policy)
-    if shards == 1:
-        explorer = Explorer(machine, options, clock=clock)
-    else:
-        explorer = ShardedExplorer(machine, options, shards=shards,
-                                   clock=clock)
+    explorer = Explorer(machine, options, clock=clock)
     return explorer.explore(case.make_config(), stop_at_first=stop_at_first)
 
 
@@ -126,18 +122,6 @@ class TestFirstViolationStats:
         assert (stats.first_violation_pops, stats.first_violation_steps,
                 stats.first_violation_wall) == (3, 17, 0.5)
 
-    def test_merge_adopts_min_by_steps(self):
-        a, b, c = EngineStats(), EngineStats(), EngineStats()
-        b.record_first_violation(5, 40, 1.0)
-        c.record_first_violation(8, 12, 2.0)
-        a.merge(b)
-        assert a.first_violation_steps == 40
-        a.merge(c)                  # fewer steps wins, regardless of wall
-        assert (a.first_violation_pops, a.first_violation_steps,
-                a.first_violation_wall) == (8, 12, 2.0)
-        a.merge(EngineStats())      # empty merge never clears the latch
-        assert a.first_violation_steps == 12
-
     def test_snapshot_carries_the_triple(self):
         stats = EngineStats()
         stats.record_first_violation(1, 2, 3.0)
@@ -172,35 +156,6 @@ class TestFirstViolationStats:
                          bound=case.min_bound,
                          fwd_hazards=case.needs_fwd_hazards)
         assert report.secure and report.first_violation is None
-
-
-class TestShardedBudget:
-    def test_expired_budget_skips_jobs_deterministically(self):
-        # Parent clock races past the deadline before any local job
-        # starts: every pending subtree root is charged to the
-        # unexplored frontier, none explored, merged result truncated.
-        result = _case_run("kocher_05", FakeClock(tick=1.0), budget=0.5,
-                           shards=2)
-        assert result.truncated
-        assert result.anytime.deadline_hit
-        assert result.anytime.frontier_remaining >= 1
-        assert result.anytime.first_violation_time is None
-
-    def test_generous_budget_matches_unbudgeted_findings(self):
-        from repro.pitchfork import violation_set
-        reference = _case_run("kocher_05", None, budget=None, shards=2)
-        result = _case_run("kocher_05", FakeClock(tick=0.0001),
-                           budget=100_000.0, shards=2)
-        assert violation_set(result.violations) == \
-            violation_set(reference.violations)
-        assert result.anytime is not None
-        assert not result.anytime.deadline_hit
-        assert result.anytime.frontier_remaining == 0
-
-    def test_sharded_first_violation_survives_merge(self):
-        result = _case_run("kocher_01", None, budget=None, shards=2)
-        assert result.violations
-        assert result.engine.first_violation_steps is not None
 
 
 class TestRoundTrip:

@@ -241,22 +241,20 @@ class TestCLI:
         assert data["mismatches"] == []
         assert len(data["suites"]["spec_v1"]) == 9
 
-    def test_strategy_and_shards_flags(self, capsys):
+    def test_strategy_and_seed_flags(self, capsys):
         from repro.api.cli import main
         code = main(["analyze", "kocher_05", "--strategy", "coverage",
-                     "--shards", "2", "--seed", "3", "--json"])
+                     "--seed", "3", "--json"])
         assert code == 1  # flagged by design
         data = json.loads(capsys.readouterr().out)
         assert data["details"]["strategy"] == "coverage"
-        assert data["details"]["shards"] == 2
-        assert data["shard_stats"], "sharded run reports per-shard stats"
+        assert "shard_stats" not in data
 
-    def test_symbolic_surfaces_ignored_shards(self, capsys):
+    def test_removed_shards_flag_is_usage_error(self, capsys):
         from repro.api.cli import main
-        main(["analyze", "kocher_01", "-a", "symbolic", "--bound", "12",
-              "--shards", "4", "--json"])
-        data = json.loads(capsys.readouterr().out)
-        assert data["details"]["shards_ignored"] == 4
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "kocher_01", "--shards", "2"])
+        assert exc.value.code == 3
 
     def test_unknown_strategy_is_clean_cli_error(self, capsys):
         from repro.api.cli import main
@@ -310,10 +308,6 @@ class TestCheckFlag:
 class TestReportSchema:
     """schema_version + exact JSON round-trip (satellite)."""
 
-    def _sharded_report(self):
-        return Project.from_litmus("kocher_05").run(
-            "pitchfork", shards=2, stop_at_first=False)
-
     def test_schema_version_serialised(self):
         report = fig1_project().analyses.pitchfork(bound=12)
         data = json.loads(report.to_json())
@@ -324,12 +318,23 @@ class TestReportSchema:
                                                    fwd_hazards=False)
         assert Report.from_json(report.to_json()) == report
 
-    def test_round_trip_covers_shard_stats(self):
-        report = self._sharded_report()
-        assert report.shard_stats, "kocher_05 at bound 40 must shard"
-        restored = Report.from_json(report.to_json())
+    def test_schema8_shard_stats_loads_and_is_dropped(self):
+        """Stored daemon results and old ``--json`` files written while
+        in-analysis sharding existed carry a ``shard_stats`` list: it
+        still loads, and re-serialises without the list."""
+        report = Project.from_litmus("kocher_05").run(
+            "pitchfork", stop_at_first=False)
+        data = report.to_dict()
+        assert data["schema_version"] == 8
+        data["shard_stats"] = [
+            {"index": i, "prefix_len": 3, "paths_explored": 2,
+             "violations": 1, "states_stepped": 40, "truncated": False,
+             "wall_time": 0.01} for i in range(2)]
+        restored = Report.from_dict(data)
         assert restored == report
-        assert restored.shard_stats == report.shard_stats
+        again = restored.to_dict()
+        assert "shard_stats" not in again
+        assert again == report.to_dict()
 
     def test_round_trip_two_phase_and_sct(self):
         project = fig1_project()
@@ -341,10 +346,9 @@ class TestReportSchema:
         report = fig1_project().analyses.pitchfork(bound=12)
         data = report.to_dict()
         del data["schema_version"]      # a pre-sharding producer
-        del data["shard_stats"]
         restored = Report.from_dict(data)
         assert restored.status == report.status
-        assert restored.shard_stats == ()
+        assert restored == report
 
     def test_newer_schema_rejected(self):
         report = fig1_project().analyses.pitchfork(bound=12)

@@ -105,7 +105,7 @@ class TestStoreKeyCompatibility:
         post-PR writer computes for the same request."""
         shapes = [AnalysisOptions(),
                   AnalysisOptions(bound=40),
-                  AnalysisOptions(bound=40, prune="full", shards=2),
+                  AnalysisOptions(bound=40, prune="full", max_paths=500),
                   AnalysisOptions.paper()]
         for options in shapes:
             explicit = options.with_(subsume=False)

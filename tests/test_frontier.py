@@ -4,15 +4,19 @@ Unit tests for the four search strategies' ordering contracts, plus the
 explorer-level guarantees: every strategy enumerates the same tool-
 schedule set (Theorem B.20 makes the set order-invariant), ``dfs``
 reproduces the seed explorer's order byte for byte, and seeded
-strategies are deterministic.
+strategies are deterministic.  Every strategy reports the seed DFS
+violation set on the whole litmus registry and on random programs.
 """
+
+import random
 
 import pytest
 
 from repro.core.machine import Machine
 from repro.engine import available_strategies, make_frontier
-from repro.litmus import find_case
+from repro.litmus import all_cases, find_case
 from repro.pitchfork import ExplorationOptions, Explorer, violation_set
+from repro.verify.generators import random_config, random_program
 
 
 def _case_options(case, **kw):
@@ -140,5 +144,48 @@ class TestExplorerStrategies:
         from repro.api import AnalysisOptions
         with pytest.raises(ValueError, match="strategy"):
             AnalysisOptions(strategy="dijkstra")
-        with pytest.raises(ValueError, match="shards"):
-            AnalysisOptions(shards=0)
+        with pytest.raises(TypeError, match="shards"):
+            AnalysisOptions(shards=2)   # in-analysis sharding is gone
+
+    def test_api_seed_threading(self):
+        """--seed reaches the explorer through AnalysisOptions."""
+        from repro.api import Project
+        a = Project.from_litmus("kocher_05").run(
+            "pitchfork", strategy="random", seed=9)
+        b = Project.from_litmus("kocher_05").run(
+            "pitchfork", strategy="random", seed=9)
+        assert a.details["seed"] == 9
+        assert a.violations == b.violations
+
+
+@pytest.fixture(scope="module")
+def dfs_reference():
+    """Seed-DFS violation sets for every registered litmus case."""
+    return {case.name: _violation_set(_explore(case))
+            for case in all_cases()}
+
+
+@pytest.mark.parametrize("strategy", available_strategies())
+def test_litmus_registry_equivalence(strategy, dfs_reference):
+    mismatches = [case.name for case in all_cases()
+                  if _violation_set(_explore(case, strategy=strategy,
+                                             seed=5))
+                  != dfs_reference[case.name]]
+    assert not mismatches, (
+        f"strategy={strategy} diverged from seed DFS on: {mismatches}")
+
+
+@pytest.mark.parametrize("strategy", available_strategies())
+def test_random_programs_equivalence(strategy):
+    for seed in range(6):
+        rng = random.Random(seed)
+        program = random_program(rng, length=rng.randrange(8, 14))
+        config = random_config(rng)
+        machine = Machine(program)
+        reference = Explorer(machine, ExplorationOptions(bound=8)).explore(
+            config, stop_at_first=False)
+        options = ExplorationOptions(bound=8, strategy=strategy, seed=seed)
+        result = Explorer(machine, options).explore(config,
+                                                    stop_at_first=False)
+        assert _violation_set(result) == _violation_set(reference), \
+            f"program seed {seed}"

@@ -5,10 +5,10 @@ equivalence with the seed DFS explorer.
 The strict bar is the same as every other strategy's (Theorem B.20: the
 explored *set* is order-invariant): run to completion, ``mcts`` must
 flag the identical violation observation set as ``dfs`` on the full
-litmus registry and on randomized programs, serial and sharded.  The
-shard/subsume/por equivalence suites additionally pick ``mcts`` up
-automatically via ``available_strategies()``; the registry cases here
-pin the serial path with this module's own seeds.
+litmus registry and on randomized programs.  The frontier/subsume/por
+equivalence suites additionally pick ``mcts`` up automatically via
+``available_strategies()``; the registry cases here pin it with this
+module's own seeds.
 """
 
 import random
@@ -19,8 +19,7 @@ from repro.core.machine import Machine
 from repro.engine import MCTSFrontier, make_frontier, validate_mcts
 from repro.engine.mcts import DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH
 from repro.litmus import all_cases, find_case
-from repro.pitchfork import (ExplorationOptions, Explorer, ShardedExplorer,
-                             violation_set)
+from repro.pitchfork import ExplorationOptions, Explorer, violation_set
 from repro.verify.generators import random_config, random_program
 
 
@@ -34,12 +33,9 @@ def _case_options(case, **kw):
     return ExplorationOptions(**kw)
 
 
-def _run(case, options, shards=1):
+def _run(case, options):
     machine = Machine(case.program, rsb_policy=case.rsb_policy)
-    if shards == 1:
-        explorer = Explorer(machine, options)
-    else:
-        explorer = ShardedExplorer(machine, options, shards=shards)
+    explorer = Explorer(machine, options)
     return explorer.explore(case.make_config(), stop_at_first=False)
 
 
@@ -164,7 +160,7 @@ class TestPriors:
         result = explorer.explore(case.make_config(), stop_at_first=False)
         assert result.paths_explored > 0
         # The playout cache filled during the run: some PC saw a load.
-        # (Reconstruct a frontier the way explore_from does.)
+        # (Reconstruct a frontier the way explore does.)
         f = MCTSFrontier(program=case.program)
         distances = [f._nearest_load(pc)[0] for pc in range(len(case.program))
                      if f._nearest_load(pc)[0] is not None]
@@ -233,14 +229,6 @@ class TestRegistryEquivalence:
                     sorted(repr(p.schedule) for p in dfs.paths):
                 mismatches.append(f"{case.name} (path set)")
         assert not mismatches, f"mcts diverged from seed DFS on: {mismatches}"
-
-    @pytest.mark.parametrize("name", ("kocher_01", "kocher_05", "v1_fig1"))
-    def test_sharded_equivalence(self, name):
-        case = find_case(name)
-        dfs = _run(case, _case_options(case, strategy="dfs"))
-        sharded = _run(case, _case_options(case), shards=2)
-        assert violation_set(sharded.violations) == \
-            violation_set(dfs.violations)
 
     def test_random_programs(self):
         rng = random.Random(1234)

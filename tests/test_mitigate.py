@@ -368,16 +368,6 @@ class TestRepairAnalysis:
         assert report.mitigation["slh_sites"] == 0
         assert report.mitigation["fences_added"] >= 1
 
-    def test_sharded_repair_matches_serial(self):
-        project = Project.from_litmus("kocher_05")
-        serial = project.analyses.repair(stop_at_first=None)
-        sharded = project.analyses.repair(shards=2)
-        assert serial.status == sharded.status == "repaired"
-        assert (serial.mitigation["fences_added"]
-                == sharded.mitigation["fences_added"])
-        assert (serial.mitigation["slh_sites"]
-                == sharded.mitigation["slh_sites"])
-
     def test_manager_batch_repair(self):
         projects = [Project.from_litmus(n)
                     for n in ("kocher_01", "kocher_03", "v4_fig7")]
@@ -436,4 +426,4 @@ class TestRepairCLI:
     def test_repair_accepts_pitchfork_verifier_flag(self, capsys):
         from repro.api.cli import main
         assert main(["repair", "kocher_01", "-a", "pitchfork",
-                     "--strategy", "coverage", "--shards", "2"]) == 0
+                     "--strategy", "coverage"]) == 0

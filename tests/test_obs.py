@@ -4,16 +4,15 @@ the tier-1 overhead guard.
 The guard is the subsystem's core promise: observability must be
 *free when off and inert when on*.  Tracing and telemetry may add wall
 time, but they may never change what the exploration observes — so the
-guard runs the litmus registry with tracing+telemetry on and off, at
-shards 1 and 4, and requires the violation sets and the deterministic
-step counters to be identical.
+guard runs the litmus registry with tracing+telemetry on and off, and
+requires the violation sets and the deterministic step counters to be
+identical.
 """
 
 import json
 import os
 import subprocess
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -24,8 +23,7 @@ from repro.obs import (CAPTURE_VERSION, DEFAULT_BUCKETS, MetricsRegistry,
                        Tracer, ambient_tracer, chrome_trace, read_capture,
                        sort_spans, summarize_spans, tracing_context,
                        validate_telemetry, write_capture)
-from repro.pitchfork import (ExplorationOptions, Explorer, ShardedExplorer,
-                             violation_set)
+from repro.pitchfork import ExplorationOptions, Explorer, violation_set
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -43,23 +41,11 @@ class TestTracer:
         spans = tracer.export()
         assert [s["name"] for s in spans] == ["a", "b", "c"]
         assert [s["seq"] for s in spans] == [0, 1, 2]
-        assert all(s["shard"] is None for s in spans)
+        assert all("shard" not in s for s in spans)
         assert all(s["dur"] >= 0.0 for s in spans)
         assert spans[0]["args"] == {"n": 1}
         assert spans[1]["args"] == {"k": 2}
         assert spans[0]["pid"] == os.getpid()
-
-    def test_adopt_tags_shard_and_keeps_worker_identity(self):
-        worker = Tracer()
-        worker.instant("w0")
-        worker.instant("w1")
-        parent = Tracer()
-        parent.instant("p0")
-        parent.adopt(worker.export(), shard=3)
-        spans = parent.export()
-        adopted = [s for s in spans if s["shard"] == 3]
-        assert [s["seq"] for s in adopted] == [0, 1]
-        assert [s["name"] for s in adopted] == ["w0", "w1"]
 
     def test_null_tracer_is_disabled_and_inert(self):
         assert NULL_TRACER.enabled is False
@@ -82,7 +68,7 @@ class TestTracer:
         assert ambient_tracer() is NULL_TRACER
 
     def test_span_dict_round_trip(self):
-        span = Span("n", "c", 1.5, 0.25, 7, 8, 2, 9, {"a": 1})
+        span = Span("n", "c", 1.5, 0.25, 7, 8, 9, {"a": 1})
         again = Span.from_dict(span.to_dict())
         assert again.to_dict() == span.to_dict()
 
@@ -135,35 +121,57 @@ class TestMetrics:
 
 # -- export -------------------------------------------------------------------
 
-def _span(name, shard, seq, pid=1, ts=10.0):
+def _span(name, seq, pid=1, ts=10.0, tid=1):
     return {"name": name, "cat": "c", "ts": ts, "dur": 0.5, "pid": pid,
-            "tid": 1, "shard": shard, "seq": seq, "args": {}}
+            "tid": tid, "seq": seq, "args": {}}
 
 
 class TestExport:
-    def test_sort_is_shard_then_seq_parent_first(self):
-        spans = [_span("w1b", 1, 1), _span("p0", None, 0),
-                 _span("w0a", 0, 0), _span("w1a", 1, 0),
-                 _span("p1", None, 1)]
-        assert [s["name"] for s in sort_spans(spans)] == \
-            ["p0", "p1", "w0a", "w1a", "w1b"]
+    def test_sort_is_by_seq(self):
+        spans = [_span("c", 2), _span("a", 0), _span("b", 1)]
+        assert [s["name"] for s in sort_spans(spans)] == ["a", "b", "c"]
 
     def test_chrome_trace_shape_and_rebasing(self):
-        spans = [_span("p", None, 0, pid=1, ts=100.0),
-                 _span("w", 0, 0, pid=2, ts=5000.0)]
+        spans = [_span("p", 0, pid=1, ts=100.0),
+                 _span("w", 1, pid=2, ts=5000.0, tid=7)]
         doc = chrome_trace(spans)
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
         events = doc["traceEvents"]
         assert all(e["ph"] == "X" for e in events)
-        # Each (pid, shard) stream is rebased to its own origin.
+        # Each process's stream is rebased to its own origin.
         assert [e["ts"] for e in events] == [0.0, 0.0]
         assert events[0]["dur"] == pytest.approx(0.5e6)
-        assert events[0]["tid"] == 1
-        assert events[1]["tid"] == "shard-0"
+        assert [e["tid"] for e in events] == [1, 7]
+
+    def test_legacy_shard_key_capture_still_inspects(self, tmp_path,
+                                                     capsys):
+        """Captures written while in-analysis sharding existed carry a
+        ``shard`` key on every span; ``repro trace summary`` and the
+        chrome export still accept them."""
+        from repro.api.cli import main
+        legacy = [dict(_span("p", 0), shard=None),
+                  dict(_span("w0", 0, pid=2, ts=50.0), shard=0),
+                  dict(_span("w1", 0, pid=3, ts=70.0), shard=1)]
+        path = tmp_path / "legacy.jsonl"
+        path.write_text("\n".join(
+            [json.dumps({"kind": "header", "version": CAPTURE_VERSION,
+                         "command": "analyze"})]
+            + [json.dumps({"kind": "span", **s}) for s in legacy]) + "\n")
+        assert main(["trace", "summary", str(path), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["spans"] == 3 and summary["processes"] == 3
+        assert main(["trace", "summary", str(path)]) == 0
+        assert "3 span(s)" in capsys.readouterr().out
+        out = tmp_path / "legacy.chrome.json"
+        assert main(["trace", "export", str(path), "--format", "chrome",
+                     "-o", str(out)]) == 0
+        events = json.loads(out.read_text())["traceEvents"]
+        assert sorted(e["name"] for e in events) == ["p", "w0", "w1"]
+        assert all(e["ph"] == "X" and e["ts"] == 0.0 for e in events)
 
     def test_capture_round_trip(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        spans = [_span("b", 0, 0), _span("a", None, 0)]
+        spans = [_span("b", 1), _span("a", 0)]
         write_capture(path, spans, header={"command": "test"})
         header, again = read_capture(path)
         assert header["version"] == CAPTURE_VERSION
@@ -178,10 +186,10 @@ class TestExport:
             read_capture(path)
 
     def test_summarize_spans(self):
-        spans = [_span("a", None, 0), _span("a", 0, 0), _span("b", 1, 0)]
+        spans = [_span("a", 0), _span("a", 1, pid=2), _span("b", 2)]
         summary = summarize_spans(spans)
         assert summary["spans"] == 3
-        assert summary["shards"] == [0, 1]
+        assert summary["processes"] == 2
         rows = {(r["cat"], r["name"]): r for r in summary["series"]}
         assert rows[("c", "a")]["count"] == 2
         assert rows[("c", "a")]["wall"] == pytest.approx(1.0)
@@ -206,22 +214,6 @@ class TestSearchTelemetry:
         assert section == {"heatmap": {"4": 2},
                            "fork_levels": {"0": 1, "2": 1},
                            "pops": 3, "wall_time": 1.25}
-
-    def test_merge_and_merge_section_agree(self):
-        a = SearchTelemetry()
-        a.record_pop(1)
-        a.record_schedule(0)
-        b = SearchTelemetry()
-        b.record_pop(1)
-        b.record_pop(2)
-        b.record_schedule(0)
-        via_merge = SearchTelemetry()
-        via_merge.merge(a)
-        via_merge.merge(b)
-        via_section = SearchTelemetry()
-        via_section.merge_section(a.to_section(9.0))
-        via_section.merge_section(b.to_section(9.0))
-        assert via_merge.to_section(0.0) == via_section.to_section(0.0)
 
 
 # -- schema v7 / store keys ---------------------------------------------------
@@ -303,16 +295,12 @@ def _case_options(case, telemetry=False):
         telemetry=telemetry)
 
 
-def _run(case, telemetry=False, traced=False, shards=1, pool=None):
+def _run(case, telemetry=False, traced=False):
     machine = Machine(case.program, rsb_policy=case.rsb_policy)
     options = _case_options(case, telemetry=telemetry)
     tracer = Tracer() if traced else None
     with tracing_context(tracer):
-        if shards == 1:
-            explorer = Explorer(machine, options)
-        else:
-            explorer = ShardedExplorer(machine, options, shards=shards,
-                                       pool=pool)
+        explorer = Explorer(machine, options)
         result = explorer.explore(case.make_config())
     return result, (tracer.export() if tracer else [])
 
@@ -338,56 +326,6 @@ class TestOverheadGuard:
             assert off.telemetry is None, case.name
             assert spans, case.name
         assert not mismatches, mismatches
-
-    def test_sharded_runs_identical_with_tracing_on(self):
-        with ProcessPoolExecutor(max_workers=4) as pool:
-            for name in ("kocher_05", "haystack_01", "v1_fig1"):
-                case = find_case(name)
-                off, _ = _run(case, shards=4, pool=pool)
-                on, spans = _run(case, telemetry=True, traced=True,
-                                 shards=4, pool=pool)
-                assert violation_set(on.violations) == \
-                    violation_set(off.violations), name
-                assert on.applied_steps == off.applied_steps, name
-                assert on.paths_explored == off.paths_explored, name
-                assert spans, name
-
-    def test_traced_sharded_run_merges_worker_streams(self):
-        """kocher_05 splits into >= 2 pool jobs: the capture must carry
-        >= 2 worker streams, and the merged order must be the
-        deterministic (shard, seq) key, independent of interleaving."""
-        case = find_case("kocher_05")
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            _result, spans = _run(case, telemetry=True, traced=True,
-                                  shards=2, pool=pool)
-        shards = {s["shard"] for s in spans if s["shard"] is not None}
-        assert len(shards) >= 2, shards
-        ordered = sort_spans(spans)
-        keys = [(-1 if s["shard"] is None else s["shard"], s["seq"])
-                for s in ordered]
-        assert keys == sorted(keys)
-        # Per-stream seqs are dense from 0.
-        for shard in shards:
-            seqs = [s["seq"] for s in ordered if s["shard"] == shard]
-            assert seqs == list(range(len(seqs)))
-        doc = chrome_trace(spans)
-        assert {e["tid"] for e in doc["traceEvents"]} >= \
-            {f"shard-{s}" for s in shards}
-
-    def test_telemetry_section_matches_sharded_sum(self):
-        """The merged section's pops equal parent + per-shard pops."""
-        case = find_case("kocher_05")
-        single, _ = _run(case, telemetry=True)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            sharded, _ = _run(case, telemetry=True, shards=2, pool=pool)
-        assert sharded.telemetry is not None
-        # Split-level roots are advanced without popping and workers
-        # re-pop their replayed roots, so equality with the
-        # single-process distribution is not expected — but both count
-        # every completed schedule exactly once.
-        assert (sum(sharded.telemetry["fork_levels"].values())
-                == sum(single.telemetry["fork_levels"].values())
-                == sharded.paths_explored == single.paths_explored)
 
 
 # -- CLI: --json stdout purity (tier-1) ---------------------------------------

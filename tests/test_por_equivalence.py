@@ -3,7 +3,7 @@
 Every pruning level must flag the identical violation *observation* set
 as the unreduced ``prune="none"`` baseline — on the full litmus
 registry (every registered case at its ground-truth knobs), across
-every search strategy and shard count, and on randomized programs.
+every search strategy, and on randomized programs.
 Mazurkiewicz-equivalent schedules produce the same observations in
 permuted order, so observation sets (not witnessing schedules) are the
 invariant pruning preserves; see ``repro.pitchfork.reports
@@ -12,14 +12,12 @@ invariant pruning preserves; see ``repro.pitchfork.reports
 Structure is pinned too: a ``full`` run's DFS path list is a
 subsequence of the ``sleepset`` run's in prefix order (pruning only
 truncates paths at covered rollbacks or drops duplicate arms — it
-never invents or reorders exploration), sharded DFS merges stay
-byte-identical to serial ones at every level, and on the Kocher suite
-the reduced levels explore strictly less than the raw Definition B.18
+never invents or reorders exploration), and on the Kocher suite the
+reduced levels explore strictly less than the raw Definition B.18
 baseline.
 """
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -27,19 +25,12 @@ from repro.core.isa import Store
 from repro.core.machine import Machine
 from repro.engine import available_strategies
 from repro.litmus import all_cases
-from repro.pitchfork import (ExplorationOptions, Explorer, ShardedExplorer,
-                             observation_set)
+from repro.pitchfork import ExplorationOptions, Explorer, observation_set
 from repro.verify.generators import random_config, random_program
 
 STRATEGIES = available_strategies()
 LEVELS = ("none", "sleepset", "full")
 RANDOM_PROGRAMS = 30
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with ProcessPoolExecutor(max_workers=4) as executor:
-        yield executor
 
 
 def _case_options(case, **kw):
@@ -52,13 +43,9 @@ def _case_options(case, **kw):
     return ExplorationOptions(**kw)
 
 
-def _run(case, options, shards=1, pool=None, stop_at_first=False):
+def _run(case, options, stop_at_first=False):
     machine = Machine(case.program, rsb_policy=case.rsb_policy)
-    if shards == 1:
-        explorer = Explorer(machine, options)
-    else:
-        explorer = ShardedExplorer(machine, options, shards=shards,
-                                   pool=pool)
+    explorer = Explorer(machine, options)
     return explorer.explore(case.make_config(), stop_at_first=stop_at_first)
 
 
@@ -90,31 +77,18 @@ def sleepset_paths():
 
 @pytest.mark.parametrize("prune", ("sleepset", "full"))
 @pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("shards", (1, 4))
-def test_litmus_registry_equivalence(prune, strategy, shards, pool,
-                                     none_reference):
+def test_litmus_registry_equivalence(prune, strategy, none_reference):
     """Pruned violation observation sets equal the unreduced baseline
-    on the full registry, for every strategy and shard count."""
+    on the full registry, for every strategy."""
     mismatches = []
     for case in all_cases():
         options = _case_options(case, strategy=strategy, seed=5, prune=prune)
-        result = _run(case, options, shards=shards, pool=pool)
+        result = _run(case, options)
         if _obs(result) != none_reference[case.name]:
             mismatches.append(case.name)
     assert not mismatches, (
-        f"prune={prune} strategy={strategy} shards={shards} diverged "
+        f"prune={prune} strategy={strategy} diverged "
         f"from the unreduced baseline on: {mismatches}")
-
-
-@pytest.mark.parametrize("shards", (1, 4))
-def test_none_mode_sharded_equivalence(shards, pool, none_reference):
-    """The raw baseline itself shards correctly: deferral pseudo-actions
-    travel in the job prefixes."""
-    for name in ("kocher_02", "kocher_13", "v4_double_store"):
-        case = [c for c in all_cases() if c.name == name][0]
-        options = _case_options(case, prune="none")
-        result = _run(case, options, shards=shards, pool=pool)
-        assert _obs(result) == none_reference[name], name
 
 
 def test_random_programs_equivalence():
@@ -177,32 +151,6 @@ def test_sleepset_paths_prefix_embed_into_none():
                                    case.name)
         checked += 1
     assert checked >= 5, "expected several store-free litmus cases"
-
-
-class TestShardedDFSByteIdentical:
-    """At every pruning level, shards=4 with DFS reproduces the serial
-    enumeration order exactly — pruning composes with shard splitting
-    because the split only lands on surviving arms and the prefix
-    pseudo-actions restore the worker's sleep state."""
-
-    CASES = ("kocher_05", "kocher_13", "v4_double_store", "ret2spec_fig12")
-
-    @pytest.mark.parametrize("name", CASES)
-    @pytest.mark.parametrize("prune", LEVELS)
-    def test_paths_identical(self, name, prune, pool):
-        case = [c for c in all_cases() if c.name == name][0]
-        options = _case_options(case, prune=prune)
-        serial = _run(case, options)
-        sharded = _run(case, options, shards=4, pool=pool)
-        assert [p.schedule for p in serial.paths] == \
-            [p.schedule for p in sharded.paths]
-        assert _obs(serial) == _obs(sharded)
-        assert serial.paths_explored == sharded.paths_explored
-        assert sharded.pruning is not None
-        assert sharded.pruning.level == prune
-        assert sharded.pruning.classes_explored == serial.paths_explored
-        assert sharded.pruning.schedules_skipped == \
-            serial.pruning.schedules_skipped
 
 
 KOCHER_OPTIONS = dict(bound=20, fwd_hazards=True, max_paths=20_000)

@@ -1,7 +1,7 @@
 """End-to-end daemon tests: the serve stack's strict bar.
 
 A report computed by the daemon — over the socket, through the warm
-pool, with or without sharding — must be **byte-identical** (modulo
+pool — must be **byte-identical** (modulo
 wall-clock fields, via ``strip_volatile``) to the report the in-process
 ``Project.run`` produces for the same target and options.  On top of
 that: warm resubmissions must come from the memory/store tiers without
@@ -105,6 +105,20 @@ def test_unknown_target_is_a_clean_error(client):
     assert "no_such_case" in str(err.value)
 
 
+def test_removed_shards_option_is_a_clean_error(client):
+    """Clients written while in-analysis sharding existed may still
+    send ``shards``: the reply names the unknown option, and the daemon
+    keeps serving."""
+    with pytest.raises(ServeError) as err:
+        client.submit({"kind": "name", "name": "kocher_01"},
+                      options={"shards": 4})
+    assert "unknown analysis options" in str(err.value)
+    assert "shards" in str(err.value)
+    report, _ = client.submit_and_wait(
+        {"kind": "name", "name": "kocher_01"}, options={"bound": 7})
+    assert strip_volatile(report.to_dict()) == _direct("kocher_01", bound=7)
+
+
 def test_unknown_job_is_a_clean_error(client):
     with pytest.raises(ServeError):
         client.status("job-999999")
@@ -194,15 +208,14 @@ def test_identical_submissions_coalesce_or_hit(daemon, client):
     assert daemon.server.jobs_computed <= computed_before + 1
 
 
-# -- strategy × shard differential -------------------------------------------
+# -- strategy differential ----------------------------------------------------
 
 
 @pytest.mark.parametrize("strategy", available_strategies())
-@pytest.mark.parametrize("shards", [1, 4])
-def test_strategy_shard_differential(client, strategy, shards):
-    """Every search strategy, sharded and serial, through the daemon:
-    identical to the in-process run under the same knobs."""
-    overrides = {"strategy": strategy, "shards": shards}
+def test_strategy_differential(client, strategy):
+    """Every search strategy through the daemon: identical to the
+    in-process run under the same knobs."""
+    overrides = {"strategy": strategy}
     if strategy == "random":
         overrides["seed"] = 11
     report, _ = client.submit_and_wait(
@@ -211,24 +224,18 @@ def test_strategy_shard_differential(client, strategy, shards):
         == _direct("kocher_05", **overrides)
 
 
-def test_sharded_jobs_stream_progress(client):
-    """A shards>1 run publishes split/shard events with partial
-    findings while it runs (kocher_05 splits into real subtree jobs)."""
+def test_jobs_stream_state_events(client):
+    """A computed job publishes its state changes, densely numbered,
+    ending in ``done`` with the report's violation count."""
     events = []
     report, _ = client.submit_and_wait(
         {"kind": "name", "name": "kocher_05"},
-        options={"shards": 4, "max_paths": 10_000},
+        options={"max_paths": 10_000},
         on_event=events.append)
-    kinds = [e["kind"] for e in events]
-    assert "split" in kinds and "state" in kinds
-    split = next(e for e in events if e["kind"] == "split")
-    assert split["jobs"] > 1
-    shard_events = [e for e in events if e["kind"] == "shard"]
-    assert shard_events, "expected per-shard progress events"
-    assert shard_events[-1]["cumulative_violations"] \
-        == len(report.violations)
-    assert all(events[i]["seq"] < events[i + 1]["seq"]
-               for i in range(len(events) - 1))
+    assert [e["kind"] for e in events] == ["state"] * len(events)
+    assert [e["state"] for e in events] == ["queued", "running", "done"]
+    assert events[-1]["violations"] == len(report.violations)
+    assert [e["seq"] for e in events] == list(range(len(events)))
 
 
 def test_tcp_transport(tmp_path):

@@ -28,21 +28,21 @@ def test_default_options_canonicalize_empty():
 
 
 def test_non_default_fields_appear_sorted():
-    options = AnalysisOptions(shards=4, bound=7, strategy="bfs")
+    options = AnalysisOptions(max_paths=500, bound=7, strategy="bfs")
     canon = canonical_options(options)
-    assert canon == (("bound", 7), ("shards", 4), ("strategy", "bfs"))
+    assert canon == (("bound", 7), ("max_paths", 500), ("strategy", "bfs"))
 
 
 def test_field_set_back_to_default_is_omitted():
     default_bound = AnalysisOptions().bound
-    options = AnalysisOptions(shards=2).with_(bound=default_bound)
+    options = AnalysisOptions(max_paths=200).with_(bound=default_bound)
     assert ("bound", default_bound) not in canonical_options(options)
-    assert canonical_options(options) == (("shards", 2),)
+    assert canonical_options(options) == (("max_paths", 200),)
 
 
 def test_equivalent_constructions_share_a_key():
-    a = AnalysisOptions(bound=9, shards=4)
-    b = AnalysisOptions().with_(shards=4).with_(bound=9)
+    a = AnalysisOptions(bound=9, max_paths=500)
+    b = AnalysisOptions().with_(max_paths=500).with_(bound=9)
     assert canonical_options(a) == canonical_options(b)
     assert options_digest(a) == options_digest(b)
 
@@ -77,7 +77,7 @@ def test_register_values_reach_the_digest():
 def test_store_key_accepts_options_or_canonical_tuple():
     project = Project.from_litmus("kocher_01")
     fp = fingerprint_digest(project)
-    options = AnalysisOptions(shards=4)
+    options = AnalysisOptions(max_paths=500)
     assert (store_key("pitchfork", fp, options)
             == store_key("pitchfork", fp, canonical_options(options)))
     assert store_key("pitchfork", fp, options) \
@@ -91,7 +91,7 @@ import json, sys
 from repro.api import AnalysisOptions, Project
 from repro.serve import fingerprint_digest, options_digest, store_key
 project = Project.from_litmus("kocher_03")
-options = AnalysisOptions(bound=11, shards=4, strategy="bfs")
+options = AnalysisOptions(bound=11, max_paths=500, strategy="bfs")
 fp = fingerprint_digest(project)
 print(json.dumps({"fp": fp, "opt": options_digest(options),
                   "key": store_key("pitchfork", fp, options)}))

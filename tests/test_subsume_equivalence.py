@@ -3,8 +3,8 @@
 Turning ``subsume=True`` on must leave the flagged violation
 *observation* set exactly as the un-subsumed run flags it — on the full
 litmus registry (every registered case at its ground-truth knobs),
-across every search strategy, every partial-order-reduction level,
-serial and sharded, and on randomized programs.  A subsumed fork arm's
+across every search strategy, every partial-order-reduction level, and
+on randomized programs.  A subsumed fork arm's
 own observations were already recorded before the prune (and flushed if
 its path never completes), and its *future* is covered by the canonical
 state's future because the step relation is a function of configuration
@@ -18,26 +18,18 @@ and on re-convergent programs it must actually fire (states_subsumed >
 """
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from repro.core.machine import Machine
 from repro.engine import available_strategies
 from repro.litmus import all_cases, find_case
-from repro.pitchfork import (ExplorationOptions, Explorer, ShardedExplorer,
-                             observation_set)
+from repro.pitchfork import ExplorationOptions, Explorer, observation_set
 from repro.verify.generators import random_config, random_program
 
 STRATEGIES = available_strategies()
 LEVELS = ("none", "sleepset", "full")
 RANDOM_PROGRAMS = 20
-
-
-@pytest.fixture(scope="module")
-def pool():
-    with ProcessPoolExecutor(max_workers=4) as executor:
-        yield executor
 
 
 def _case_options(case, **kw):
@@ -50,13 +42,9 @@ def _case_options(case, **kw):
     return ExplorationOptions(**kw)
 
 
-def _run(case, options, shards=1, pool=None, stop_at_first=False):
+def _run(case, options, stop_at_first=False):
     machine = Machine(case.program, rsb_policy=case.rsb_policy)
-    if shards == 1:
-        explorer = Explorer(machine, options)
-    else:
-        explorer = ShardedExplorer(machine, options, shards=shards,
-                                   pool=pool)
+    explorer = Explorer(machine, options)
     return explorer.explore(case.make_config(), stop_at_first=stop_at_first)
 
 
@@ -92,23 +80,6 @@ def test_litmus_registry_equivalence(prune, strategy, plain_reference):
     assert not mismatches, (
         f"subsume=True with prune={prune} strategy={strategy} diverged "
         f"from the plain run on: {mismatches}")
-
-
-@pytest.mark.parametrize("prune", LEVELS)
-def test_litmus_registry_sharded_equivalence(prune, pool, plain_reference):
-    """Each shard keeps its own SeenStates table; the merged observation
-    set still matches the plain serial run at every prune level."""
-    mismatches = []
-    for case in all_cases():
-        options = _case_options(case, prune=prune, subsume=True)
-        result = _run(case, options, shards=4, pool=pool)
-        if _obs(result) != plain_reference[case.name, prune]:
-            mismatches.append(case.name)
-        assert result.subsumption is not None and \
-            result.subsumption.enabled, case.name
-    assert not mismatches, (
-        f"sharded subsume=True with prune={prune} diverged from the "
-        f"plain serial run on: {mismatches}")
 
 
 def test_litmus_stop_at_first_verdicts_agree(plain_reference):
