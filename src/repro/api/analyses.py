@@ -478,6 +478,7 @@ class RepairAnalysis(Analysis):
         details = {"policy": options.policy,
                    "verifications": result.verifications,
                    "rounds": result.rounds,
+                   "localize_steps": result.localize_steps,
                    "strategy": options.strategy,
                    "prune": options.prune,
                    "subsume": options.subsume}

@@ -12,8 +12,8 @@ See DESIGN.md ("Mitigation synthesis") for the soundness argument and
 the shrink invariant.
 """
 
-from .localize import ViolationSite, localize, localize_all, \
-    replay_attribution
+from .localize import LocalizeStats, ViolationSite, localize, \
+    localize_all, replay_attribution
 from .passes import (SLH_PREFIX, AppliedMitigation, MitigationError,
                      apply_fence, apply_slh, remove_fence, remove_slh)
 from .synth import (REPAIR_STATUSES, MitigationSynthesizer, RepairResult,
@@ -21,9 +21,10 @@ from .synth import (REPAIR_STATUSES, MitigationSynthesizer, RepairResult,
                     verify_certificate)
 
 __all__ = [
-    "AppliedMitigation", "MitigationError", "MitigationSynthesizer",
-    "REPAIR_STATUSES", "RepairResult", "RepairStep", "SLH_PREFIX",
-    "SynthesisOptions", "ViolationSite", "apply_fence", "apply_slh",
-    "localize", "localize_all", "remove_fence", "remove_slh", "repair",
-    "replay_attribution", "verify_certificate",
+    "AppliedMitigation", "LocalizeStats", "MitigationError",
+    "MitigationSynthesizer", "REPAIR_STATUSES", "RepairResult",
+    "RepairStep", "SLH_PREFIX", "SynthesisOptions", "ViolationSite",
+    "apply_fence", "apply_slh", "localize", "localize_all",
+    "remove_fence", "remove_slh", "repair", "replay_attribution",
+    "verify_certificate",
 ]

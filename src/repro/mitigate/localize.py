@@ -8,7 +8,9 @@ machine relation is deterministic in ``(configuration, directive)``
 (Theorem B.1), so stepping the schedule from the same initial
 configuration reproduces the leaking execution exactly, and watching
 the fetch stage recovers the map from buffer indices to the program
-points they were fetched from.
+points they were fetched from.  The same determinism lets a batch of
+witnesses share the replay of their common schedule prefixes
+(:func:`localize_all`).
 
 The result is a structured :class:`ViolationSite` naming
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.config import Config
-from ..core.directives import Execute, Fetch, Retire, Schedule
+from ..core.directives import Directive, Execute, Fetch, Retire, Schedule
 from ..core.errors import ReproError
 from ..core.isa import (Br, Call, Fence, Instruction, Jmpi, Load, Op, Ret,
                         Store)
@@ -86,6 +88,13 @@ class ViolationSite:
         if self.store_pps:
             parts.append(f"bypassed store(s) at {list(self.store_pps)}")
         return "; ".join(parts)
+
+
+@dataclass
+class LocalizeStats:
+    """Work done by :func:`localize_all` calls that share this record."""
+
+    steps: int = 0                  #: machine steps the replays took
 
 
 def _instruction_kind(instr: Optional[Instruction]) -> str:
@@ -171,28 +180,77 @@ def _jmpi_mispredicted(machine: Machine, config: Config, j: int,
         return None
 
 
-def localize(machine: Machine, config: Config,
-             violation: Violation) -> ViolationSite:
-    """Attribute one violation to its responsible program points.
+class _PrefixReplay:
+    """Replays witnessing schedules, stepping each distinct prefix once.
 
-    Replays the witnessing schedule (whose final directive is the
-    flagging one) and inspects the configuration just before that step.
+    Theorem B.1 makes the configuration after a schedule prefix a
+    function of that prefix, so a state reached once can stand for
+    every witness that shares the prefix.  The walker keeps one
+    ``(config, index → pp)`` entry per directive of the last schedule
+    it replayed; a new schedule cuts that stack back to the common
+    prefix and steps only its own suffix.  Witnesses from one
+    exploration arrive in visit order, so neighbours share the longest
+    prefixes.  The index map is copied only when a fetch extends it:
+    an older entry keeps its own view even after a later witness rolls
+    back and refetches one of its indices.
     """
-    schedule = violation.schedule
-    configs, index_pp = replay_attribution(machine, config, schedule)
-    pre = configs[-2] if len(configs) >= 2 else configs[-1]
-    directive = violation.directive
 
+    def __init__(self, machine: Machine, config: Config):
+        self.machine = machine
+        self.directives: List[Directive] = []
+        self.states: List[Tuple[Config, Dict[int, int]]] = [(config, {})]
+        self.steps = 0              #: machine steps taken so far
+
+    def state_after(self, schedule: Schedule, length: int
+                    ) -> Tuple[Config, Dict[int, int]]:
+        """The configuration after ``schedule[:length]`` and the
+        index → program point map of the fetches along the way."""
+        done = self.directives
+        n = 0
+        common = min(length, len(done))
+        while n < common and (schedule[n] is done[n]
+                              or schedule[n] == done[n]):
+            n += 1
+        del done[n:]
+        del self.states[n + 1:]
+        config, index_pp = self.states[-1]
+        step = self.machine.step
+        for k in range(n, length):
+            directive = schedule[k]
+            if isinstance(directive, Fetch):
+                pc = config.pc
+                before = config.buf.max_index()
+                config, _leak = step(config, directive)
+                index_pp = dict(index_pp)
+                for i in range(before + 1, config.buf.max_index() + 1):
+                    index_pp[i] = pc
+            else:
+                config, _leak = step(config, directive)
+            done.append(directive)
+            self.states.append((config, index_pp))
+        self.steps += length - n
+        return config, index_pp
+
+
+def _flagged(pre: Config, index_pp: Dict[int, int],
+             directive: Directive) -> Tuple[int, int]:
+    """(buffer index, program point) of the instruction whose step
+    from ``pre`` under ``directive`` leaked."""
     if isinstance(directive, Execute):
-        flagged = directive.index
-        leak_pp = index_pp.get(flagged, pre.pc)
-    elif isinstance(directive, Retire) and pre.buf:
+        return directive.index, index_pp.get(directive.index, pre.pc)
+    if isinstance(directive, Retire) and pre.buf:
         flagged = pre.buf.min_index()
-        leak_pp = index_pp.get(flagged, pre.pc)
-    else:
-        flagged = pre.buf.max_index() + 1
-        leak_pp = pre.pc
+        return flagged, index_pp.get(flagged, pre.pc)
+    return pre.buf.max_index() + 1, pre.pc
 
+
+def _site(machine: Machine, pre: Config, index_pp: Dict[int, int],
+          violation: Violation, flagged: int,
+          leak_pp: int) -> ViolationSite:
+    """Blame the speculation sources in flight in ``pre`` — the
+    configuration just before the flagging step — older than the
+    flagged buffer index."""
+    directive = violation.directive
     branch_pp: Optional[int] = None
     branch_taken: Optional[bool] = None
     jmpi_pp: Optional[int] = None
@@ -241,16 +299,44 @@ def localize(machine: Machine, config: Config,
         store_pps=tuple(store_pps), jmpi_pp=jmpi_pp, taint_pp=taint_pp)
 
 
+def localize(machine: Machine, config: Config,
+             violation: Violation) -> ViolationSite:
+    """Attribute one violation to its responsible program points.
+
+    Replays the witnessing schedule up to (not including) its final,
+    flagging directive and inspects the configuration reached there.
+    """
+    return localize_all(machine, config, (violation,))[0]
+
+
 def localize_all(machine: Machine, config: Config,
-                 violations: Iterable[Violation]) -> List[ViolationSite]:
+                 violations: Iterable[Violation], *,
+                 stats: Optional[LocalizeStats] = None
+                 ) -> List[ViolationSite]:
     """Localize a batch of violations, deduplicated by leak point.
 
     The first witness per program point wins (sites are repaired per
-    point, so extra witnesses of the same point add no information).
+    point, so extra witnesses of the same point add no information);
+    a later witness of a point that already has a site costs its replay
+    but no blame scan.
+
+    The replays share work: every witness is stepped from the state its
+    longest common prefix with the previous witness reached, so each
+    distinct schedule prefix of a run of neighbours is stepped once.
+    That is exact, not an approximation — by Theorem B.1 the state
+    after a prefix depends only on the prefix.  ``stats``, when given,
+    accumulates the machine steps taken.
     """
+    replay = _PrefixReplay(machine, config)
     seen: Dict[int, ViolationSite] = {}
     for violation in violations:
-        site = localize(machine, config, violation)
-        if site.leak_pp not in seen:
-            seen[site.leak_pp] = site
+        schedule = violation.schedule
+        pre, index_pp = replay.state_after(schedule,
+                                           max(len(schedule) - 1, 0))
+        flagged, leak_pp = _flagged(pre, index_pp, violation.directive)
+        if leak_pp not in seen:
+            seen[leak_pp] = _site(machine, pre, index_pp, violation,
+                                  flagged, leak_pp)
+    if stats is not None:
+        stats.steps += replay.steps
     return list(seen.values())

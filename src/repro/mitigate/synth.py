@@ -49,7 +49,7 @@ from ..core.program import Program
 from ..core.sequential import run_sequential
 from ..ctcomp.passes import count_fences, insert_fences
 from ..pitchfork import AnalysisReport, analyze
-from .localize import ViolationSite, localize_all
+from .localize import LocalizeStats, ViolationSite, localize_all
 from .passes import (AppliedMitigation, MitigationError, apply_fence,
                      apply_slh, remove_fence, remove_slh)
 
@@ -108,6 +108,9 @@ class RepairResult:
     #: Verifier machine-step accounting summed over every re-run.
     states_stepped: int = 0
     states_reused: int = 0
+    #: Machine steps localization took, summed over every round (kept
+    #: out of the certificate: it measures the repairer, not the repair).
+    localize_steps: int = 0
 
     @property
     def secure(self) -> bool:
@@ -221,6 +224,7 @@ class MitigationSynthesizer:
         self._stepped = 0
         self._reused = 0
         self._shrunk = 0
+        self._localize = LocalizeStats()
         self._slh_done: Set[int] = set()
         self._semantics_failures: List[str] = []
 
@@ -319,7 +323,7 @@ class MitigationSynthesizer:
             machine = Machine(current, rsb_policy=self.rsb_policy)
             sites = localize_all(machine,
                                  self.config.with_(pc=current.entry),
-                                 residual)
+                                 residual, stats=self._localize)
             progressed = False
             for site in sites:
                 if site.leak_pp in guarded:
@@ -375,7 +379,8 @@ class MitigationSynthesizer:
             semantics_preserved=semantics_ok,
             semantics_failures=tuple(self._semantics_failures),
             wall_time=time.perf_counter() - t0,
-            states_stepped=self._stepped, states_reused=self._reused)
+            states_stepped=self._stepped, states_reused=self._reused,
+            localize_steps=self._localize.steps)
 
     def _shrink(self, program: Program, steps: List[RepairStep],
                 seq_leaks: Set[str]

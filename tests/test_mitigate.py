@@ -2,12 +2,14 @@
 the asm round-trip the repaired programs rely on."""
 
 import json
+import random
 
 import pytest
 
 from repro.api import AnalysisManager, AnalysisOptions, Project, Report
 from repro.asm import assemble, to_source
 from repro.asm.disasm import _referenced_points
+from repro.core.directives import RETIRE, Execute, Fetch
 from repro.core.machine import Machine
 from repro.core.isa import Fence, Load, Op
 from repro.core.sct import check_sct
@@ -15,9 +17,12 @@ from repro.ctcomp.passes import (count_fences, fence_loads, harden,
                                  insert_fences, retpolinize)
 from repro.litmus import all_cases, expected_repair_status, find_case, \
     load_suite
-from repro.mitigate import (MitigationError, apply_fence, apply_slh,
-                            localize_all, remove_fence, remove_slh, repair,
+from repro.mitigate import (LocalizeStats, MitigationError, apply_fence,
+                            apply_slh, localize, localize_all, remove_fence,
+                            remove_slh, repair, replay_attribution,
                             verify_certificate)
+from repro.mitigate.localize import _flagged, _site
+from repro.pitchfork.explorer import Violation
 from repro.pitchfork import analyze, enumerate_schedules
 
 
@@ -122,6 +127,146 @@ class TestLocalize:
     def test_sequential_leak_classified_as_sequential(self):
         _case, sites = self._sites("v1_sequential_leak")
         assert sites and all(s.cause == "sequential" for s in sites)
+
+
+def _reference_site(machine, config, violation):
+    """Localization without shared prefixes: the witness replayed from
+    step 0 by ``replay_attribution``."""
+    configs, index_pp = replay_attribution(machine, config,
+                                           violation.schedule)
+    pre = configs[-2] if len(configs) >= 2 else configs[-1]
+    flagged, leak_pp = _flagged(pre, index_pp, violation.directive)
+    return _site(machine, pre, index_pp, violation, flagged, leak_pp)
+
+
+def _first_per_point(sites):
+    seen = {}
+    for site in sites:
+        seen.setdefault(site.leak_pp, site)
+    return list(seen.values())
+
+
+def _reference_sites(machine, config, violations):
+    return _first_per_point(_reference_site(machine, config, v)
+                            for v in violations)
+
+
+#: Two leaks whose witnesses part at their first directive: the
+#: mispredicted arm (``fetch: True``) leaks at 3, the architectural arm
+#: at 5.
+DISJOINT_ARMS = """\
+br gt, 4, %ra -> 2, 4
+%rb = load [64, %ra]
+%rc = load [68, %rb] -> 6
+%rb = load [64, %ra]
+%rc = load [68, %rb]
+halt
+"""
+
+
+class TestSharedPrefixLocalization:
+    """``localize_all`` steps each shared schedule prefix once; its
+    sites must equal a from-scratch replay of every witness."""
+
+    def test_equals_per_witness_replay_on_every_flagged_case(self):
+        batches = 0
+        for case in all_cases():
+            if not (case.leaks_speculatively or case.leaks_sequentially):
+                continue
+            kwargs = _case_kwargs(case)
+            machine = Machine(case.program, rsb_policy=case.rsb_policy)
+            for strategy in ("dfs", "mcts"):
+                report = analyze(case.program, case.make_config(),
+                                 stop_at_first=False, strategy=strategy,
+                                 rsb_policy=case.rsb_policy, **kwargs)
+                witnesses = list(report.violations)
+                # Each witness's own site does not depend on the batch
+                # order, so it is replayed once for all three orders.
+                reference = [_reference_site(machine, case.make_config(), v)
+                             for v in witnesses]
+                order = list(range(len(witnesses)))
+                shuffled = list(order)
+                random.Random(case.name).shuffle(shuffled)
+                for perm in (order, order[::-1], shuffled):
+                    batch = [witnesses[i] for i in perm]
+                    expected = _first_per_point(reference[i] for i in perm)
+                    assert localize_all(machine, case.make_config(),
+                                        batch) == expected, \
+                        (case.name, strategy)
+                    batches += 1
+        assert batches >= 3 * 2 * 30
+
+    def _disjoint(self):
+        program = assemble(DISJOINT_ARMS)
+        config = find_case("v1_fig1").make_config()
+        report = analyze(program, config, stop_at_first=False, bound=12)
+        return Machine(program), config, list(report.violations)
+
+    def test_witnesses_sharing_no_prefix(self):
+        machine, config, witnesses = self._disjoint()
+        assert len({v.schedule[0] for v in witnesses}) == len(witnesses) == 2
+        stats = LocalizeStats()
+        sites = localize_all(machine, config, witnesses, stats=stats)
+        assert sites == _reference_sites(machine, config, witnesses)
+        assert sorted((s.leak_pp, s.cause) for s in sites) == \
+            [(3, "v1"), (5, "sequential")]
+        # Nothing shared: every witness is stepped up to its flagging
+        # directive.
+        assert stats.steps == sum(len(v.schedule) - 1 for v in witnesses)
+
+    def test_one_directive_witness(self):
+        # A witness whose only directive is the flagging one is
+        # attributed at the initial configuration, also between longer
+        # witnesses that must be re-stepped around it.
+        machine, config, witnesses = self._disjoint()
+        first = witnesses[0]
+        short = Violation(first.observation, 0, first.schedule[0], None,
+                          first.schedule[:1], first.trace[:1])
+        for batch in ([short], [short] + witnesses,
+                      [witnesses[0], short, witnesses[1]]):
+            assert localize_all(machine, config, batch) == \
+                _reference_sites(machine, config, batch)
+        assert localize(machine, config, short) == \
+            _reference_sites(machine, config, [short])[0]
+
+    def test_index_reused_after_rollback(self):
+        # The first witness squashes buffer index 2 and refetches it
+        # from point 4; the second still holds the index as fetched
+        # from point 2 on their shared prefix.  Its leak point must
+        # come from its own fetch, not the first witness's.
+        machine, config, _witnesses = self._disjoint()
+        refetch = (Fetch(True), Fetch(), Execute(1), Fetch(), RETIRE)
+        leak = (Fetch(True), Fetch(), Execute(2))
+        final = config
+        for directive in leak:
+            final, trace = machine.step(final, directive)
+        batch = [Violation(trace[0], 4, RETIRE, None, refetch, trace),
+                 Violation(trace[0], 2, Execute(2), 2, leak, trace)]
+        sites = localize_all(machine, config, batch)
+        assert sites == _reference_sites(machine, config, batch)
+        assert sites[-1].leak_pp == 2 and sites[-1].branch_pp == 1
+
+    def test_repair_counts_localization_steps(self, monkeypatch):
+        import repro.mitigate.synth as synth
+        batches = []
+        real = synth.localize_all
+
+        def recording(machine, config, violations, **kwargs):
+            batches.append(list(violations))
+            return real(machine, config, batches[-1], **kwargs)
+
+        monkeypatch.setattr(synth, "localize_all", recording)
+        case = find_case("diffregress_store_addr_transient")
+        result = _repair_case(case)
+        witnesses = [v for batch in batches for v in batch]
+        assert len(witnesses) >= 2
+        assert witnesses[0].schedule[0] == witnesses[1].schedule[0]
+        assert 0 < result.localize_steps < \
+            sum(len(v.schedule) for v in witnesses)
+        # A measure of the repairer, not a claim of the certificate.
+        assert "localize_steps" not in result.certificate
+        report = Project.from_litmus(case.name).analyses.repair()
+        assert report.details["localize_steps"] == result.localize_steps
 
 
 # ---------------------------------------------------------------------------
