@@ -47,7 +47,8 @@ def test_probe_pruning_keeps_paths_linear(benchmark, branches):
     probe family per site, sized by how many branches fit one window)
     instead of the 2^branches a naive suffix re-exploration gives."""
     machine, cfg = _branchy_program(branches)
-    stats = once(benchmark, schedule_stats, machine, cfg, 8, False)
+    stats = once(benchmark, schedule_stats, machine, cfg,
+                 bound=8, fwd_hazards=False)
     print(f"\nbranches={branches}: schedules={stats.schedules} "
           f"(naive would be {2 ** branches})")
     assert stats.schedules <= 32 * branches          # linear envelope
@@ -69,8 +70,8 @@ def test_per_load_arms_vs_bound_growth(benchmark):
     def measure():
         m1, c1 = build(matching=True)
         m2, c2 = build(matching=False)
-        return (schedule_stats(m1, c1, 8, True).schedules,
-                schedule_stats(m2, c2, 8, True).schedules)
+        return (schedule_stats(m1, c1, bound=8, fwd_hazards=True).schedules,
+                schedule_stats(m2, c2, bound=8, fwd_hazards=True).schedules)
 
     same_slot, distinct_slots = once(benchmark, measure)
     print(f"\n4 stores same slot: {same_slot} schedules; "

@@ -65,9 +65,8 @@ def _naive_analyze(program, config, bound, fwd_hazards,
     rep = representative_config(config)
     machine = Machine(program, evaluator=_UncachedEvaluator())
     options = ExplorationOptions(bound=bound, fwd_hazards=fwd_hazards,
-                                 max_paths=max_schedules,
-                                 assume_unknown_branches=True)
-    explorer = Explorer(machine, options)
+                                 max_paths=max_schedules)
+    explorer = Explorer(machine, options, assume_unknown_branches=True)
     schedules = [p.schedule for p in explorer.explore(rep).paths
                  if p.complete]
     runner = SymbolicRunner(program, max_worlds=max_worlds)

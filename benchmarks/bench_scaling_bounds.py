@@ -36,7 +36,8 @@ def _store_load_chain(n: int):
 @pytest.mark.parametrize("bound", [4, 8, 12, 16, 20])
 def test_schedules_with_fwd_hazards(benchmark, bound):
     machine, config = _store_load_chain(4)
-    stats = once(benchmark, schedule_stats, machine, config, bound, True)
+    stats = once(benchmark, schedule_stats, machine, config,
+                 bound=bound, fwd_hazards=True)
     print(f"\nbound={bound:3}  fwd=on   schedules={stats.schedules:6}  "
           f"steps={stats.total_steps}")
     assert stats.schedules >= 1
@@ -47,7 +48,8 @@ def test_schedules_without_fwd_hazards(benchmark, bound):
     """Without forwarding exploration even bound 250 stays trivial —
     the paper's reason for the 250/20 split."""
     machine, config = _store_load_chain(4)
-    stats = once(benchmark, schedule_stats, machine, config, bound, False)
+    stats = once(benchmark, schedule_stats, machine, config,
+                 bound=bound, fwd_hazards=False)
     print(f"\nbound={bound:3}  fwd=off  schedules={stats.schedules:6}  "
           f"steps={stats.total_steps}")
     assert stats.schedules == 1
@@ -59,9 +61,11 @@ def test_explosion_crossover(benchmark):
     machine, config = _store_load_chain(5)
 
     def series():
-        with_fwd = [schedule_stats(machine, config, b, True).schedules
+        with_fwd = [schedule_stats(machine, config, bound=b,
+                                   fwd_hazards=True).schedules
                     for b in (4, 8, 12, 16)]
-        without = [schedule_stats(machine, config, b, False).schedules
+        without = [schedule_stats(machine, config, bound=b,
+                                  fwd_hazards=False).schedules
                    for b in (4, 8, 12, 16)]
         return with_fwd, without
 
@@ -80,7 +84,7 @@ def test_detection_depth_secretbox(benchmark, bound, found):
     from repro.casestudies.secretbox import case_study
     variant = case_study().c
     report = once(benchmark, analyze, variant.program, variant.config(),
-                  bound, False)
+                  bound=bound, fwd_hazards=False)
     assert (not report.secure) == found
 
 
@@ -89,5 +93,5 @@ def test_detection_depth_loop_gadget(benchmark, bound, found):
     """kocher_05's loop-carried leak likewise needs a deep window."""
     case = find_case("kocher_05")
     report = once(benchmark, analyze, case.program, case.config(),
-                  bound, False)
+                  bound=bound, fwd_hazards=False)
     assert (not report.secure) == found

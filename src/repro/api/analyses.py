@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Dict, List, Optional, Type
+from dataclasses import fields, replace
+from typing import Dict, List, Optional, Tuple, Type
 
+from ..core.machine import Machine
 from ..core.sct import check_sct
 from ..engine import ExecutionEngine
-from ..pitchfork import (analyze, analyze_symbolic_result,
-                         enumerate_schedules)
+from ..pitchfork import (ExplorationOptions, analyze,
+                         analyze_symbolic_result, enumerate_schedules)
 from .project import AnalysisOptions, Project
 from .report import (PhaseReport, Report, from_analysis_report,
                      summarize_counterexample, summarize_finding)
@@ -90,18 +92,50 @@ def available_aliases() -> Dict[str, str]:
     return dict(sorted(_ALIASES.items()))
 
 
+#: Default of every exploration knob, for :func:`_ignore_knobs`.
+_EXPLORATION_DEFAULTS = {f.name: f.default
+                         for f in fields(ExplorationOptions)}
+
+
+def _ignore_knobs(options: AnalysisOptions, knobs: Tuple[str, ...]
+                 ) -> Tuple[AnalysisOptions, Dict[str, object]]:
+    """Reset the exploration knobs an analysis cannot act on.
+
+    Returns ``options`` with each of ``knobs`` back at its default, and
+    the ``*_ignored`` report details for those the caller had set:
+    ``<knob>_ignored`` (``budget_ignored`` for ``budget_seconds``)
+    holding the value asked for.  Ignored, and said so — never
+    silently dropped.
+    """
+    reset, ignored = {}, {}
+    for knob in knobs:
+        value, default = getattr(options, knob), _EXPLORATION_DEFAULTS[knob]
+        if value != default:
+            key = "budget" if knob == "budget_seconds" else knob
+            ignored[f"{key}_ignored"] = value
+            reset[knob] = default
+    return (replace(options, **reset) if reset else options), ignored
+
+
 class Analysis:
     """Base contract: ``run(project, **overrides) -> Report``."""
 
     name: str = ""
     description: str = ""
+    #: Exploration knobs this analysis has nothing to act on: reset to
+    #: their defaults before :meth:`_run`, and reported when set (see
+    #: :func:`_ignore_knobs`).
+    ignores: Tuple[str, ...] = ()
 
     def run(self, project: Project, **overrides) -> Report:
-        options = project.options.with_(**overrides)
+        options, ignored = _ignore_knobs(
+            project.options.with_(**overrides), self.ignores)
         t0 = time.perf_counter()
         report = self._run(project, options)
         if report.wall_time == 0.0:
             report = report.with_(wall_time=time.perf_counter() - t0)
+        if ignored:
+            report = report.with_(details={**report.details, **ignored})
         return report
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
@@ -134,34 +168,12 @@ class AnalysisHub:
         return f"<AnalysisHub {sorted(_REGISTRY)} on {self._project.name!r}>"
 
 
-def explore_knobs(options: AnalysisOptions) -> dict:
-    """The exploration knobs :func:`~repro.pitchfork.analyze` takes from
-    ``options``, beyond the per-phase ``bound``/``fwd_hazards`` — the
-    one list every Pitchfork run (analyses and the ``repro.sps.diff``
-    oracle alike) draws from."""
-    return dict(stop_at_first=options.stop_at_first,
-                explore_aliasing=options.explore_aliasing,
-                jmpi_targets=options.jmpi_targets,
-                rsb_targets=options.rsb_targets,
-                max_paths=options.max_paths,
-                max_steps=options.max_steps,
-                rsb_policy=options.rsb_policy,
-                strategy=options.strategy,
-                seed=options.seed,
-                prune=options.prune,
-                subsume=options.subsume,
-                budget_seconds=options.budget_seconds,
-                mcts_c=options.mcts_c,
-                mcts_playout=options.mcts_playout,
-                telemetry=options.telemetry)
-
-
 def _explore(project: Project, options: AnalysisOptions, *,
              bound: int, fwd_hazards: bool):
     """One Pitchfork run with the project's full knob set."""
-    return analyze(project.program, project.config(), bound=bound,
-                   fwd_hazards=fwd_hazards, name=project.name,
-                   **explore_knobs(options))
+    return analyze(project.program, project.config(),
+                   options.with_(bound=bound, fwd_hazards=fwd_hazards),
+                   name=project.name)
 
 
 @register
@@ -205,6 +217,9 @@ class SpsAnalysis(Analysis):
     name = "sps"
     description = ("speculation-passing second opinion: sequential CT "
                    "check of the speculative product program (repro.sps)")
+    #: The sequential check has no schedule search.
+    ignores = ("strategy", "prune", "subsume", "budget_seconds",
+               "telemetry")
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         from ..pitchfork.detector import AnalysisReport
@@ -222,19 +237,6 @@ class SpsAnalysis(Analysis):
             stop_at_first=options.stop_at_first)
         details = {"speculation_sites": dict(result.sites),
                    "exhausted_paths": result.exhausted_paths}
-        # The sequential check has no schedule search, so the search
-        # knobs have nothing to act on.  Surfaced, never silently
-        # dropped (the ``*_ignored`` convention).
-        if options.strategy != "dfs":
-            details["strategy_ignored"] = options.strategy
-        if options.prune != "sleepset":
-            details["prune_ignored"] = options.prune
-        if options.subsume:
-            details["subsume_ignored"] = True
-        if options.budget_seconds is not None:
-            details["budget_ignored"] = options.budget_seconds
-        if options.telemetry:
-            details["telemetry_ignored"] = True
         report = AnalysisReport(
             name=project.name, secure=result.secure,
             violations=tuple(result.violations),
@@ -304,34 +306,22 @@ class SymbolicAnalysis(Analysis):
     description = ("symbolic replay of the tool-schedule tree (§4.2): "
                    "solve for attacker inputs reaching secret "
                    "observations; prefix-shared via repro.engine")
+    #: Concrete-state subsumption is unsound for symbolic replay (two
+    #: equal concrete configurations may differ in the symbolic worlds
+    #: reaching them); the replay has no anytime mode (a partial
+    #: symbolic sweep cannot report honest coverage); and telemetry
+    #: instruments a frontier pop loop the replay does not drive.
+    ignores = ("subsume", "budget_seconds", "telemetry")
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         t0 = time.perf_counter()
         result = analyze_symbolic_result(
-            project.program, project.config(), bound=options.bound,
-            fwd_hazards=options.fwd_hazards,
+            project.program, project.config(), options,
             max_schedules=options.max_schedules,
-            max_worlds=options.max_worlds,
-            strategy=options.strategy, seed=options.seed,
-            prune=options.prune)
+            max_worlds=options.max_worlds)
         details = {"worlds": result.replay.worlds,
                    "solver_calls": result.replay.solver_calls,
                    "prune": options.prune}
-        if options.subsume:
-            # Concrete-state subsumption is unsound for symbolic
-            # replay: two equal concrete configurations may differ in
-            # the symbolic worlds reaching them, so pruning one would
-            # drop satisfiable attacker models.  Ignored, and said so.
-            details["subsume_ignored"] = True
-        if options.budget_seconds is not None:
-            # The symbolic replay has no anytime mode: a partial
-            # symbolic sweep cannot report honest coverage the way the
-            # frontier can.  Surfaced, not silently dropped.
-            details["budget_ignored"] = options.budget_seconds
-        if options.telemetry:
-            # Search telemetry instruments the frontier pop loop, which
-            # the symbolic replay does not drive.  Surfaced, not dropped.
-            details["telemetry_ignored"] = True
         return Report(
             target=project.name, analysis=self.name,
             status="secure" if result.secure else "insecure",
@@ -359,16 +349,19 @@ class SCTAnalysis(Analysis):
     name = "sct"
     description = ("two-trace Definition 3.1 check over enumerated tool "
                    "schedules and secret variations; flags vacuous passes")
+    #: The check quantifies over the whole enumerated schedule set: its
+    #: order, a state-subsumed subset or a deadline-cut one would not
+    #: be that set, and there is no frontier loop to instrument.
+    ignores = ("strategy", "subsume", "budget_seconds", "telemetry")
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         t0 = time.perf_counter()
-        machine = project.machine()
+        machine = Machine(project.program, rsb_policy=options.rsb_policy)
         config = project.config()
         schedules = enumerate_schedules(
-            machine, config, bound=options.sct_bound,
-            fwd_hazards=options.fwd_hazards,
-            max_paths=options.sct_max_schedules,
-            prune=options.prune)
+            machine, config, options.with_(
+                bound=options.sct_bound,
+                max_paths=options.sct_max_schedules))
         # Run the two-trace product on the engine so the quantifier's
         # work (every schedule × every partner, twice per pair) shows
         # up in the report's step counters.
@@ -389,9 +382,7 @@ class SCTAnalysis(Analysis):
             vacuous=result.vacuous,
             wall_time=time.perf_counter() - t0,
             details={"pairs_checked": result.pairs_checked,
-                     "schedules": len(schedules),
-                     **({"telemetry_ignored": True}
-                        if options.telemetry else {})},
+                     "schedules": len(schedules)},
         )
 
 
@@ -457,22 +448,18 @@ class RepairAnalysis(Analysis):
     description = ("counterexample-guided mitigation synthesis: localize "
                    "violations, place minimal fences/SLH masks, re-verify, "
                    "shrink (repro.mitigate)")
+    #: Repair re-verifies to a *certificate*, which a wall-clock cut
+    #: mid-loop would not give; one heatmap over many re-verifications
+    #: would mislead.
+    ignores = ("budget_seconds", "telemetry")
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         from ..mitigate import repair
         t0 = time.perf_counter()
         result = repair(
-            project.program, project.config(), name=project.name,
+            project.program, project.config(), options, name=project.name,
             policy=options.policy, max_rounds=options.max_repair_rounds,
-            shrink=options.shrink, rsb_policy=options.rsb_policy,
-            bound=options.bound, fwd_hazards=options.fwd_hazards,
-            explore_aliasing=options.explore_aliasing,
-            jmpi_targets=options.jmpi_targets,
-            rsb_targets=options.rsb_targets,
-            max_paths=options.max_paths, max_steps=options.max_steps,
-            strategy=options.strategy,
-            seed=options.seed, prune=options.prune,
-            subsume=options.subsume)
+            shrink=options.shrink)
         final = result.final_report
         secure = result.status in ("already-secure", "repaired")
         details = {"policy": options.policy,
@@ -482,14 +469,6 @@ class RepairAnalysis(Analysis):
                    "strategy": options.strategy,
                    "prune": options.prune,
                    "subsume": options.subsume}
-        if options.budget_seconds is not None:
-            # Repair re-verifies to a *certificate*; a wall-clock cut
-            # mid-loop would certify nothing.  Surfaced, not dropped.
-            details["budget_ignored"] = options.budget_seconds
-        if options.telemetry:
-            # The repair loop runs many re-verifications; a single
-            # heatmap over all of them would be misleading.  Surfaced.
-            details["telemetry_ignored"] = True
         wall = time.perf_counter() - t0
         # NB: AnalysisReport.__bool__ is "secure" — guard on None, not
         # truthiness, or insecure final reports zero these fields out.

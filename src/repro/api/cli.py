@@ -35,6 +35,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from typing import Any, Dict, List, Optional
 
 from .analyses import available_aliases, available_analyses
@@ -43,32 +44,11 @@ from .project import AnalysisOptions, Project
 
 
 def _option_overrides(args) -> Dict:
-    """Collect --bound-style flags into AnalysisOptions overrides
-    (absent flags stay None and are ignored by ``with_``)."""
-    return {
-        "bound": args.bound,
-        "bound_no_fwd": args.bound_no_fwd,
-        "bound_fwd": args.bound_fwd,
-        "fwd_hazards": args.fwd_hazards,
-        "explore_aliasing": args.aliasing,
-        "max_paths": args.max_paths,
-        "max_steps": args.max_steps,
-        "max_schedules": args.max_schedules,
-        "max_worlds": args.max_worlds,
-        "strategy": args.strategy,
-        "seed": args.seed,
-        "prune": args.prune,
-        "subsume": getattr(args, "subsume", None),
-        "telemetry": getattr(args, "telemetry", None),
-        "budget_seconds": getattr(args, "budget_seconds", None),
-        "mcts_c": getattr(args, "mcts_c", None),
-        "mcts_playout": getattr(args, "mcts_playout", None),
-        # repair-only knobs (absent on other subcommands, ignored when
-        # None by AnalysisOptions.with_).
-        "policy": getattr(args, "policy", None),
-        "max_repair_rounds": getattr(args, "max_rounds", None),
-        "shrink": getattr(args, "shrink", None),
-    }
+    """Collect the option flags into AnalysisOptions overrides: each
+    flag's ``dest`` is the field it sets, so absent flags (and fields
+    a subcommand has no flag for) stay None, which ``with_`` ignores."""
+    return {f.name: getattr(args, f.name, None)
+            for f in fields(AnalysisOptions)}
 
 
 def _warn_truncated(reports) -> None:
@@ -110,7 +90,8 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-fwd-hazards", dest="fwd_hazards",
                         action="store_false",
                         help="disable forwarding-hazard exploration")
-    parser.add_argument("--aliasing", action="store_true", default=None,
+    parser.add_argument("--aliasing", dest="explore_aliasing",
+                        action="store_true", default=None,
                         help="enable §3.5 aliasing-prediction exploration")
     parser.add_argument("--max-paths", type=int, help="path-count cap")
     parser.add_argument("--max-steps", type=int,
@@ -741,7 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument("--policy", choices=("fence", "slh", "auto"),
                           help="per-site mitigation policy (default: auto — "
                                "SLH masking for v1 loads, fences otherwise)")
-    p_repair.add_argument("--max-rounds", type=int,
+    p_repair.add_argument("--max-rounds", dest="max_repair_rounds",
+                          type=int, metavar="MAX_ROUNDS",
                           help="propose→re-verify rounds before giving up")
     p_repair.add_argument("--no-shrink", dest="shrink",
                           action="store_false", default=None,

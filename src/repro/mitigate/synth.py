@@ -3,8 +3,8 @@
 The algorithm is the standard CEGIS shape, with Pitchfork as the
 verifier:
 
-1. **Verify** — run :func:`repro.pitchfork.analyze` (inheriting the
-   caller's bound / hazard / strategy / pruning knobs,
+1. **Verify** — run :func:`repro.pitchfork.analyze` on the caller's
+   :class:`~repro.pitchfork.ExplorationOptions` (with
    ``stop_at_first=False`` so every leak in range is visible).
 2. **Filter** — drop violations whose observation the *sequential*
    execution already produces: those are architectural leaks
@@ -48,7 +48,8 @@ from ..core.observations import secret_observations
 from ..core.program import Program
 from ..core.sequential import run_sequential
 from ..ctcomp.passes import count_fences, insert_fences
-from ..pitchfork import AnalysisReport, analyze
+from ..pitchfork import AnalysisReport, ExplorationOptions, analyze
+from ..pitchfork.explorer import resolve_options
 from .localize import LocalizeStats, ViolationSite, localize_all
 from .passes import (AppliedMitigation, MitigationError, apply_fence,
                      apply_slh, remove_fence, remove_slh)
@@ -148,8 +149,8 @@ class RepairResult:
 
 @dataclass(frozen=True)
 class SynthesisOptions:
-    """Knobs of the repair loop (the verifier's knobs ride along in
-    ``analyze_kwargs``)."""
+    """Knobs of the repair loop (the verifier's knobs are an
+    :class:`~repro.pitchfork.ExplorationOptions` beside it)."""
 
     policy: str = "auto"            #: "fence" | "slh" | "auto"
     max_rounds: int = 16
@@ -208,18 +209,19 @@ def _preserves_semantics(base_result, candidate: Program, config: Config,
 class MitigationSynthesizer:
     """Drives the repair→re-verify loop for one target."""
 
-    def __init__(self, program: Program, config: Config, *,
+    def __init__(self, program: Program, config: Config,
+                 exploration: Optional[ExplorationOptions] = None, *,
                  name: str = "<program>",
                  options: Optional[SynthesisOptions] = None,
-                 rsb_policy: str = "directive",
-                 **analyze_kwargs):
+                 **overrides):
         self.original = program
         self.config = config
         self.name = name
         self.options = options or SynthesisOptions()
-        self.rsb_policy = rsb_policy
-        analyze_kwargs.pop("stop_at_first", None)
-        self.analyze_kwargs = analyze_kwargs
+        #: The verifier's knobs; every verification sees every leak.
+        self.exploration = resolve_options(
+            exploration, dict(overrides, stop_at_first=False))
+        self.rsb_policy = self.exploration.rsb_policy
         self._verifications = 0
         self._stepped = 0
         self._reused = 0
@@ -232,8 +234,7 @@ class MitigationSynthesizer:
 
     def _verify(self, program: Program) -> AnalysisReport:
         report = analyze(program, self.config.with_(pc=program.entry),
-                         name=self.name, stop_at_first=False,
-                         rsb_policy=self.rsb_policy, **self.analyze_kwargs)
+                         self.exploration, name=self.name)
         self._verifications += 1
         self._stepped += report.states_stepped
         self._reused += report.states_reused
@@ -409,47 +410,47 @@ class MitigationSynthesizer:
         return program, live, last_clean
 
 
-def repair(program: Program, config: Config, *,
+def repair(program: Program, config: Config,
+           options: Optional[ExplorationOptions] = None, *,
            name: str = "<program>",
            policy: str = "auto",
            max_rounds: int = 16,
            shrink: bool = True,
-           rsb_policy: str = "directive",
-           **analyze_kwargs) -> RepairResult:
+           **overrides) -> RepairResult:
     """Synthesize a minimal mitigation for ``program``.
 
-    ``analyze_kwargs`` are forwarded to :func:`repro.pitchfork.analyze`
-    for every verification run (``bound``, ``fwd_hazards``,
-    ``explore_aliasing``, ``jmpi_targets``, ``rsb_targets``,
-    ``max_paths``, ``max_steps``, ``strategy``, ``seed``,
-    ``prune``, ``subsume``).
+    Every verification run explores with ``options`` and the keyword
+    ``overrides`` as :func:`repro.pitchfork.analyze` does (``bound``,
+    ``fwd_hazards``, ``rsb_policy``, ``strategy``, ``prune``, ...),
+    except that it never stops at the first leak.
     """
     synthesizer = MitigationSynthesizer(
-        program, config, name=name,
+        program, config, options, name=name,
         options=SynthesisOptions(policy=policy, max_rounds=max_rounds,
                                  shrink=shrink),
-        rsb_policy=rsb_policy, **analyze_kwargs)
+        **overrides)
     return synthesizer.run()
 
 
-def verify_certificate(certificate: Dict[str, object], config: Config, *,
-                       rsb_policy: str = "directive",
+def verify_certificate(certificate: Dict[str, object], config: Config,
+                       options: Optional[ExplorationOptions] = None, *,
                        max_retires: int = 20_000,
                        original: Optional[Program] = None,
-                       **analyze_kwargs) -> bool:
+                       **overrides) -> bool:
     """Re-check a repair certificate from scratch.
 
-    Re-assembles the embedded source, re-runs the verifier, and — when
-    the original program is supplied — re-checks sequential
-    equivalence.  Returns True iff every claim holds.
+    Re-assembles the embedded source, re-runs the verifier (``options``
+    and ``overrides`` as for :func:`repair`), and — when the original
+    program is supplied — re-checks sequential equivalence.  Returns
+    True iff every claim holds.
     """
+    options = resolve_options(options, dict(overrides, stop_at_first=False))
+    rsb_policy = options.rsb_policy
     program = assemble(str(certificate["program"]),
                        base=int(certificate.get("base", 1)))
     if program.entry != certificate.get("entry", program.entry):
         return False
-    report = analyze(program, config.with_(pc=program.entry),
-                     stop_at_first=False, rsb_policy=rsb_policy,
-                     **analyze_kwargs)
+    report = analyze(program, config.with_(pc=program.entry), options)
     allowed = set(certificate.get("sequential_leaks", ()))
     residual = [v for v in report.violations
                 if repr(v.observation) not in allowed]

@@ -5,8 +5,7 @@ proved sound by Theorem B.20) and executes the program under each,
 flagging secret-labelled observations.
 """
 
-from .detector import (AnalysisReport, PAPER_BOUND_FWD, PAPER_BOUND_NO_FWD,
-                       analyze, analyze_two_phase)
+from .detector import AnalysisReport, analyze
 from .explorer import (ExplorationOptions, ExplorationResult, Explorer,
                        PathResult, Violation)
 from .reports import (format_report, format_violation, observation_set,
@@ -19,8 +18,7 @@ from .symex import (App, Constraint, ReplayStats, Sym, SymbolicEvaluator,
                     feasible_values, solve, symbols_of)
 
 __all__ = [
-    "AnalysisReport", "PAPER_BOUND_FWD", "PAPER_BOUND_NO_FWD", "analyze",
-    "analyze_two_phase", "ExplorationOptions", "ExplorationResult",
+    "AnalysisReport", "analyze", "ExplorationOptions", "ExplorationResult",
     "Explorer", "PathResult", "Violation",
     "format_report", "format_violation", "ScheduleStats",
     "enumerate_schedule_tree",

@@ -1,32 +1,21 @@
 """The Pitchfork detector front end (Section 4.2).
 
-``analyze`` runs one exploration; ``analyze_two_phase`` reproduces the
-paper's evaluation procedure exactly (§4.2.1):
-
-1. run *without* forwarding-hazard detection (Spectre v1/v1.1 only) at a
-   large speculation bound (paper: 250);
-2. only if that is clean, re-run *with* forwarding-hazard detection
-   (Spectre v4) at a reduced bound (paper: 20) to keep the analysis
-   tractable.
+``analyze`` runs one exploration.  The paper's two-phase evaluation
+procedure (§4.2.1) is :class:`repro.api.analyses.TwoPhaseAnalysis`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Tuple
 
 from ..core.config import Config
 from ..core.isa import Evaluator
 from ..core.machine import Machine
 from ..core.program import Program
 from ..engine import PruningStats, SubsumptionStats
-from ..engine.mcts import DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH
-from .explorer import (AnytimeStats, ExplorationOptions, ExplorationResult,
-                       Explorer, Violation)
-
-#: The speculation bounds used in the paper's evaluation.
-PAPER_BOUND_NO_FWD = 250
-PAPER_BOUND_FWD = 20
+from .explorer import (AnytimeStats, ExplorationOptions, Explorer,
+                       Violation, resolve_options)
 
 
 @dataclass(frozen=True)
@@ -75,66 +64,27 @@ class AnalysisReport:
 
 
 def analyze(program: Program, config: Config,
-            bound: int = PAPER_BOUND_FWD,
-            fwd_hazards: bool = True,
+            options: Optional[ExplorationOptions] = None, *,
             name: str = "<program>",
-            stop_at_first: bool = True,
             evaluator: Optional[Evaluator] = None,
-            explore_aliasing: bool = False,
-            jmpi_targets: Sequence[int] = (),
-            rsb_targets: Sequence[int] = (),
-            max_paths: int = 20_000,
-            max_steps: int = 40_000,
-            rsb_policy: str = "directive",
-            strategy: str = "dfs",
-            seed: int = 0,
-            prune: str = "sleepset",
-            subsume: bool = False,
-            budget_seconds: Optional[float] = None,
-            mcts_c: float = DEFAULT_EXPLORATION,
-            mcts_playout: int = DEFAULT_PLAYOUT_DEPTH,
-            telemetry: bool = False,
-            clock: Optional[Callable[[], float]] = None) -> AnalysisReport:
-    """One Pitchfork run: explore DT(bound), flag secret observations.
+            clock: Optional[Callable[[], float]] = None,
+            **overrides) -> AnalysisReport:
+    """One Pitchfork run: explore DT(``options.bound``), flag secret
+    observations.
 
-    ``strategy`` selects the frontier's search order (see
-    :mod:`repro.engine.frontier`) and leaves the flagged violation set
-    unchanged (Theorem B.20 quantifies over the schedule set, which
-    reordering does not alter).  ``prune`` selects the
-    partial-order-reduction level (:mod:`repro.engine.por`):
-    ``none``/``sleepset``/``full``, all flagging the same violation
-    observations.  ``subsume`` prunes fork arms whose state was already
-    explored with the same or weaker residual obligations
-    (:mod:`repro.engine.subsume`) — same observation set, far fewer
-    machine steps on re-convergent (loop-heavy) programs.
-    ``budget_seconds`` runs in anytime mode: exploration stops at the
-    wall-clock deadline, the report is marked truncated (never clean),
-    and ``report.anytime`` carries honest coverage stats.  ``mcts_c``
-    and ``mcts_playout`` tune ``strategy="mcts"``
-    (:mod:`repro.engine.mcts`).  ``telemetry`` records the search's
-    per-fetch-PC heatmap and fork-level schedule histogram onto the
-    report (:mod:`repro.obs.telemetry`) — pure observation, the
-    explored schedule set is unchanged.  ``clock`` injects a monotonic
-    clock for deterministic anytime tests.
+    ``options`` is the run's :class:`ExplorationOptions` (an
+    :class:`~repro.api.AnalysisOptions` works too: the explorer reads
+    the fields it knows by name); keyword ``overrides`` replace fields
+    of it by name, so ``analyze(p, c, bound=8, prune="full")`` still
+    reads as it always did.  See the record for what each knob does.
+    ``clock`` injects a monotonic clock for deterministic anytime tests.
     """
-    machine = Machine(program, evaluator=evaluator, rsb_policy=rsb_policy)
-    options = ExplorationOptions(bound=bound, fwd_hazards=fwd_hazards,
-                                 explore_aliasing=explore_aliasing,
-                                 jmpi_targets=tuple(jmpi_targets),
-                                 rsb_targets=tuple(rsb_targets),
-                                 max_paths=max_paths,
-                                 max_steps=max_steps,
-                                 strategy=strategy,
-                                 seed=seed,
-                                 prune=prune,
-                                 subsume=subsume,
-                                 budget_seconds=budget_seconds,
-                                 mcts_c=mcts_c,
-                                 mcts_playout=mcts_playout,
-                                 telemetry=telemetry)
+    options = resolve_options(options, overrides)
+    machine = Machine(program, evaluator=evaluator,
+                      rsb_policy=options.rsb_policy)
     result = Explorer(machine, options, clock=clock).explore(
-        config, stop_at_first=stop_at_first)
-    phase = "v4" if fwd_hazards else "v1/v1.1"
+        config, stop_at_first=options.stop_at_first)
+    phase = "v4" if options.fwd_hazards else "v1/v1.1"
     truncated = result.truncated or result.exhausted_paths > 0
     engine = result.engine
     first_violation = None
@@ -144,30 +94,10 @@ def analyze(program: Program, config: Config,
                            "wall_time": engine.first_violation_wall}
     return AnalysisReport(name, result.secure, tuple(result.violations),
                           result.paths_explored, result.applied_steps,
-                          truncated, phase, bound,
+                          truncated, phase, options.bound,
                           states_reused=result.states_reused,
                           pruning=result.pruning,
                           subsumption=result.subsumption,
                           anytime=result.anytime,
                           first_violation=first_violation,
                           telemetry=result.telemetry)
-
-
-def analyze_two_phase(program: Program, config: Config,
-                      name: str = "<program>",
-                      bound_no_fwd: int = PAPER_BOUND_NO_FWD,
-                      bound_fwd: int = PAPER_BOUND_FWD,
-                      max_paths: int = 20_000) -> AnalysisReport:
-    """The paper's two-phase procedure (§4.2.1).
-
-    Phase 1 looks for v1/v1.1 violations without forwarding hazards at
-    ``bound_no_fwd``; if (and only if) it is clean, phase 2 re-enables
-    forwarding-hazard detection at the reduced ``bound_fwd``.
-    """
-    first = analyze(program, config, bound=bound_no_fwd, fwd_hazards=False,
-                    name=name, max_paths=max_paths)
-    if not first.secure:
-        return first
-    second = analyze(program, config, bound=bound_fwd, fwd_hazards=True,
-                     name=name, max_paths=max_paths)
-    return second

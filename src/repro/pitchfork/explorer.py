@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
                     Set, Tuple, Union)
 
@@ -90,7 +90,7 @@ from ..core.transient import (TBr, TCallMarker, TFence, TJmpi, TJump, TLoad,
 from ..core.values import BOTTOM, Value
 from ..engine import (EngineStats, ExecutionEngine, MachineState,
                       PruningStats, SeenStates, SubsumptionStats,
-                      make_frontier)
+                      available_strategies, make_frontier)
 from ..engine.mcts import (DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH,
                            validate_mcts)
 from ..engine.por import drop_dead_entries, hazard_load, validate_prune
@@ -109,22 +109,29 @@ def validate_budget(budget_seconds: Optional[float]) -> None:
                          f"number of seconds, got {budget_seconds!r}")
 
 
+#: Per-path fetched-instruction budget: a cut for non-terminating
+#: loops, with one value in use (the knob is not exposed).
+MAX_FETCHES = 2_000
+
+_RSB_POLICIES = ("directive", "refuse", "circular")
+
+
 @dataclass(frozen=True)
 class ExplorationOptions:
-    """Tuning knobs mirroring the paper's evaluation procedure (§4.2.1)."""
+    """The knobs of one Pitchfork question: explore DT(``bound``) with
+    these choice points, caps and search order (§4.2.1).
+
+    The one declaration of every exploration knob, its default and its
+    check.  :class:`repro.api.AnalysisOptions` extends this record with
+    the analysis-only sections; every layer below it (``analyze``, the
+    :mod:`~repro.pitchfork.schedules` entry points, the symbolic back
+    end, the repair loop) takes the record itself, and reads a field
+    of a wider record by its name.
+    """
 
     bound: int = 20            #: speculation bound = max reorder-buffer size
     fwd_hazards: bool = True   #: explore deferred store addresses (v4 mode)
     explore_aliasing: bool = False  #: §3.5 extension: execute i: fwd j
-    #: Search-order strategy for the frontier (see
-    #: :mod:`repro.engine.frontier`): "dfs" (the seed order), "bfs",
-    #: "random", "coverage".  Theorem B.20 makes the explored *set*
-    #: order-invariant; only enumeration order (and which paths survive
-    #: a cap) changes.
-    strategy: str = "dfs"
-    #: RNG seed for stochastic strategies ("random"); recorded so runs
-    #: reproduce path-for-path.
-    seed: int = 0
     #: extension: mistrained indirect-branch targets to explore (Spectre
     #: v2); the original tool does not explore these (§4, "Pitchfork only
     #: exercises a subset of our semantics").
@@ -132,15 +139,21 @@ class ExplorationOptions:
     #: extension: attacker-supplied return targets on RSB underflow
     #: (ret2spec); likewise not explored by the original tool.
     rsb_targets: Tuple[int, ...] = ()
-    #: Treat every branch condition as statically unknown: both arms are
-    #: fetched and resolution is always delayed to the window's end.
-    #: This makes the generated schedules input-independent — the mode
-    #: the symbolic back end (repro.pitchfork.symex) needs, since the
-    #: "correct" arm varies with the symbolic inputs.
-    assume_unknown_branches: bool = False
+    #: How the machine predicts a ``ret`` on an empty RSB: "directive",
+    #: "refuse" or "circular" (see :class:`~repro.core.machine.Machine`).
+    rsb_policy: str = "directive"
     max_paths: int = 20_000    #: cap on explored paths
-    max_fetches: int = 2_000   #: per-path fetched-instruction budget
     max_steps: int = 40_000    #: per-path step budget
+    #: ``analyze`` stops at the first violating path.  The explorer's
+    #: own :meth:`Explorer.explore` keeps ``stop_at_first=False``, so
+    #: materialised schedule sets never stop early.
+    stop_at_first: bool = True
+    #: Search-order strategy for the frontier (see
+    #: :mod:`repro.engine.frontier`): "dfs" (the seed order), "bfs",
+    #: "random", "coverage", "mcts".  Theorem B.20 makes the explored
+    #: *set* order-invariant; only enumeration order (and which paths
+    #: survive a cap) changes.
+    strategy: str = "dfs"
     #: Partial-order reduction level: "none" (raw Definition B.18),
     #: "sleepset" (the default — the seed enumeration), or "full"
     #: (window capping on covered rollbacks + degenerate-arm collapse).
@@ -172,13 +185,49 @@ class ExplorationOptions:
     #: schedules are explored — and off by default so defaulted store
     #: keys are unchanged.
     telemetry: bool = False
+    #: RNG seed for stochastic strategies ("random"; the metatheory
+    #: analysis draws from it too); recorded so runs reproduce
+    #: path-for-path.
+    seed: int = 0
 
     def __post_init__(self):
+        for name in ("bound", "max_paths", "max_steps"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.rsb_policy not in _RSB_POLICIES:
+            raise ValueError(f"rsb_policy must be one of {_RSB_POLICIES}, "
+                             f"got {self.rsb_policy!r}")
+        if self.strategy not in available_strategies():
+            raise ValueError(
+                f"strategy must be one of {list(available_strategies())}, "
+                f"got {self.strategy!r}")
         validate_prune(self.prune)
         validate_subsume(self.subsume)
         validate_budget(self.budget_seconds)
         validate_mcts(self.mcts_c, self.mcts_playout)
         validate_telemetry(self.telemetry)
+        # Normalise sequences so options stay hashable (cache keys).
+        object.__setattr__(self, "jmpi_targets", tuple(self.jmpi_targets))
+        object.__setattr__(self, "rsb_targets", tuple(self.rsb_targets))
+
+    def with_(self, **kw) -> "ExplorationOptions":
+        """Functional record update (``None`` values are ignored, and
+        an update that changes nothing returns ``self``)."""
+        kw = {k: v for k, v in kw.items() if v is not None}
+        unknown = kw.keys() - self.__dataclass_fields__.keys()
+        if unknown:
+            raise TypeError(f"unknown analysis options: {sorted(unknown)}")
+        kw = {k: v for k, v in kw.items() if getattr(self, k) != v}
+        return replace(self, **kw) if kw else self
+
+
+def resolve_options(options: Optional[ExplorationOptions],
+                    overrides: Mapping[str, Any]) -> ExplorationOptions:
+    """``options`` (default: :class:`ExplorationOptions`) with
+    ``overrides`` replacing its fields by name — how every entry point
+    that takes the record also takes per-call keyword knobs."""
+    options = options if options is not None else ExplorationOptions()
+    return replace(options, **overrides) if overrides else options
 
 
 @dataclass(frozen=True)
@@ -364,9 +413,16 @@ class Explorer:
     """
 
     def __init__(self, machine: Machine, options: ExplorationOptions,
-                 clock: Optional[Callable[[], float]] = None):
+                 clock: Optional[Callable[[], float]] = None, *,
+                 assume_unknown_branches: bool = False):
         self.machine = machine
         self.options = options
+        #: Treat every branch condition as statically unknown: both arms
+        #: are fetched and resolution is always delayed to the window's
+        #: end.  This makes the generated schedules input-independent —
+        #: the mode the symbolic back end (repro.pitchfork.symex) needs,
+        #: since the "correct" arm varies with the symbolic inputs.
+        self.assume_unknown_branches = assume_unknown_branches
         self.engine: ExecutionEngine = ExecutionEngine(machine)
         #: Monotonic clock for budget deadlines and first-violation
         #: wall times; injectable so anytime behaviour is testable with
@@ -655,7 +711,7 @@ class Explorer:
             if path.exhausted or path.finished:
                 return None
             if path.steps >= self.options.max_steps or \
-                    path.fetches >= self.options.max_fetches:
+                    path.fetches >= MAX_FETCHES:
                 path.exhausted = True
                 return None
             arms = self._next_actions(path)
@@ -887,7 +943,7 @@ class Explorer:
                             self._can(config, Execute(i, "addr")):
                         return [[Execute(i, "addr")], [_Defer(i)]]
             elif kind is TBr:
-                if self.options.assume_unknown_branches:
+                if self.assume_unknown_branches:
                     continue  # all branches delayed in symbolic mode
                 if i in mispredicted:
                     continue
@@ -1049,7 +1105,7 @@ class Explorer:
         if instr is None:
             return []
         if isinstance(instr, Br):
-            if self.options.assume_unknown_branches:
+            if self.assume_unknown_branches:
                 return [[Fetch(True)], [Fetch(False)]]
             correct = self._correct_arm(config, instr)
             if correct is None:

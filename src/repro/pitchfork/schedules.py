@@ -19,14 +19,13 @@ deepest shared prefix instead of re-running every schedule from step 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import List, Optional
 
 from ..core.config import Config
 from ..core.directives import Schedule
 from ..core.machine import Machine
 from ..engine import ScheduleTree
-from ..engine.mcts import DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH
-from .explorer import ExplorationOptions, Explorer
+from .explorer import ExplorationOptions, Explorer, resolve_options
 
 
 @dataclass(frozen=True)
@@ -41,47 +40,34 @@ class ScheduleStats:
 
 
 def enumerate_schedules(machine: Machine, config: Config,
-                        bound: int, fwd_hazards: bool = True,
-                        max_paths: int = 20_000,
+                        options: Optional[ExplorationOptions] = None, *,
                         assume_unknown_branches: bool = False,
-                        strategy: str = "dfs", seed: int = 0,
-                        prune: str = "sleepset",
-                        subsume: bool = False,
-                        mcts_c: float = DEFAULT_EXPLORATION,
-                        mcts_playout: int = DEFAULT_PLAYOUT_DEPTH) -> List[Schedule]:
-    """All complete tool schedules for ``config`` at this bound.
+                        **overrides) -> List[Schedule]:
+    """All complete tool schedules for ``config`` at ``options.bound``.
 
-    ``strategy``/``seed`` select the frontier's enumeration order (the
-    schedule *set* is order-invariant); ``prune`` the partial-order-
-    reduction level (one representative per Mazurkiewicz class at
-    ``"full"`` — see :mod:`repro.engine.por`).  ``subsume`` additionally
-    drops schedules continuing from already-covered states
+    ``options`` and the keyword ``overrides`` work as for
+    :func:`repro.pitchfork.analyze`.  ``strategy``/``seed`` only change
+    the enumeration order (the schedule *set* is order-invariant);
+    ``prune="full"`` keeps one representative per Mazurkiewicz class
+    (:mod:`repro.engine.por`).  ``subsume`` additionally drops
+    schedules continuing from already-covered states
     (:mod:`repro.engine.subsume`) — the *materialised* set shrinks, so
     leave it off when the schedules themselves are the product (e.g.
     feeding symbolic replay, where concrete-state identity is not
-    state identity).  ``mcts_c``/``mcts_playout`` tune
-    ``strategy="mcts"`` and are ignored otherwise.  Anytime budgets are
-    deliberately not offered here: a materialised schedule set cut at a
-    wall-clock deadline is not DT(bound)."""
-    options = ExplorationOptions(bound=bound, fwd_hazards=fwd_hazards,
-                                 max_paths=max_paths,
-                                 assume_unknown_branches=assume_unknown_branches,
-                                 strategy=strategy, seed=seed, prune=prune,
-                                 subsume=subsume,
-                                 mcts_c=mcts_c, mcts_playout=mcts_playout)
-    result = Explorer(machine, options).explore(config)
+    state identity).  Leave ``budget_seconds`` unset too: a
+    materialised schedule set cut at a wall-clock deadline is not
+    DT(bound).  ``assume_unknown_branches`` is the explorer's
+    input-independent mode (see :class:`Explorer`)."""
+    result = Explorer(machine, resolve_options(options, overrides),
+                      assume_unknown_branches=assume_unknown_branches
+                      ).explore(config)
     return [p.schedule for p in result.paths if p.complete]
 
 
 def enumerate_schedule_tree(machine: Machine, config: Config,
-                            bound: int, fwd_hazards: bool = True,
-                            max_paths: int = 20_000,
+                            options: Optional[ExplorationOptions] = None, *,
                             assume_unknown_branches: bool = False,
-                            strategy: str = "dfs", seed: int = 0,
-                            prune: str = "sleepset",
-                            subsume: bool = False,
-                            mcts_c: float = DEFAULT_EXPLORATION,
-                            mcts_playout: int = DEFAULT_PLAYOUT_DEPTH) -> ScheduleTree:
+                            **overrides) -> ScheduleTree:
     """DT(bound) with its DFS fork structure preserved.
 
     The returned tree's ``payloads`` are the explorer's complete
@@ -93,14 +79,9 @@ def enumerate_schedule_tree(machine: Machine, config: Config,
     ``subsume`` consults the SeenStates table at every fork the walk
     expands (same caveats as :func:`enumerate_schedules`).
     """
-    options = ExplorationOptions(bound=bound, fwd_hazards=fwd_hazards,
-                                 max_paths=max_paths,
-                                 assume_unknown_branches=assume_unknown_branches,
-                                 strategy=strategy, seed=seed, prune=prune,
-                                 subsume=subsume,
-                                 mcts_c=mcts_c, mcts_playout=mcts_playout)
-    explorer = Explorer(machine, options)
-    result = explorer.explore(config)
+    result = Explorer(machine, resolve_options(options, overrides),
+                      assume_unknown_branches=assume_unknown_branches
+                      ).explore(config)
     complete = [p for p in result.paths if p.complete]
     truncated = result.truncated or result.exhausted_paths > 0
     return ScheduleTree.from_paths(
@@ -108,12 +89,12 @@ def enumerate_schedule_tree(machine: Machine, config: Config,
         truncated=truncated, engine_stats=result.engine)
 
 
-def schedule_stats(machine: Machine, config: Config, bound: int,
-                   fwd_hazards: bool = True,
-                   max_paths: int = 20_000) -> ScheduleStats:
+def schedule_stats(machine: Machine, config: Config,
+                   options: Optional[ExplorationOptions] = None,
+                   **overrides) -> ScheduleStats:
     """Count the tool schedules without keeping them (explosion sweeps)."""
-    options = ExplorationOptions(bound=bound, fwd_hazards=fwd_hazards,
-                                 max_paths=max_paths)
+    options = resolve_options(options, overrides)
     result = Explorer(machine, options).explore(config)
-    return ScheduleStats(bound, fwd_hazards, result.paths_explored,
-                         result.states_stepped, result.truncated)
+    return ScheduleStats(options.bound, options.fwd_hazards,
+                         result.paths_explored, result.states_stepped,
+                         result.truncated)

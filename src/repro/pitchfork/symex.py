@@ -63,6 +63,7 @@ from ..core.program import Program
 from ..core.values import Value, join_labels
 from ..engine import (EMPTY_LOG, EngineStats, Log, ScheduleTree, TreeNode,
                       make_frontier)
+from .explorer import ExplorationOptions, resolve_options
 from .schedules import enumerate_schedule_tree
 
 
@@ -630,13 +631,16 @@ class SymbolicResult:
         return enum + self.replay.reused
 
 
+#: The record :func:`analyze_symbolic_result` explores when it is given
+#: none: a 16-entry window without forwarding hazards.
+SYMBOLIC_DEFAULTS = ExplorationOptions(bound=16, fwd_hazards=False)
+
+
 def analyze_symbolic_result(program: Program, config: Config,
-                            bound: int = 16, fwd_hazards: bool = False,
+                            options: Optional[ExplorationOptions] = None, *,
                             max_schedules: int = 512,
                             max_worlds: int = 256,
-                            strategy: str = "dfs",
-                            seed: int = 0,
-                            prune: str = "sleepset") -> SymbolicResult:
+                            **overrides) -> SymbolicResult:
     """Pitchfork with its symbolic back end, with full accounting.
 
     Enumerates tool schedules on a concrete representative — keeping
@@ -646,15 +650,20 @@ def analyze_symbolic_result(program: Program, config: Config,
     recorded traces (sound by determinism, Theorem B.1).  Returns every
     secret-labelled observation together with a solved attacker-input
     model, plus truncation flags and step/reuse counters.
+
+    ``options`` (default :data:`SYMBOLIC_DEFAULTS`) and the keyword
+    ``overrides`` select the schedules as for
+    :func:`~repro.pitchfork.analyze`, with ``max_schedules`` as the
+    path cap.  Subsumption is always off: two equal concrete
+    configurations may differ in the symbolic worlds reaching them.
     """
+    options = resolve_options(
+        options if options is not None else SYMBOLIC_DEFAULTS, overrides)
     rep = representative_config(config)
     machine = Machine(program)
-    tree = enumerate_schedule_tree(machine, rep, bound=bound,
-                                   fwd_hazards=fwd_hazards,
-                                   max_paths=max_schedules,
+    tree = enumerate_schedule_tree(machine, rep, options,
                                    assume_unknown_branches=True,
-                                   strategy=strategy, seed=seed,
-                                   prune=prune)
+                                   max_paths=max_schedules, subsume=False)
     findings: List[SymbolicFinding] = []
     if _config_is_concrete(config):
         stats = ReplayStats()
@@ -668,7 +677,7 @@ def analyze_symbolic_result(program: Program, config: Config,
                               tree.engine_stats)
     runner = SymbolicRunner(program, max_worlds=max_worlds,
                             on_overflow="truncate",
-                            strategy=strategy, seed=seed)
+                            strategy=options.strategy, seed=options.seed)
     for index, worlds in runner.run_tree(config, tree):
         schedule = tree.schedules[index]
         for world in worlds:
@@ -687,9 +696,10 @@ def analyze_symbolic_result(program: Program, config: Config,
 
 
 def analyze_symbolic(program: Program, config: Config,
-                     bound: int = 16, fwd_hazards: bool = False,
+                     options: Optional[ExplorationOptions] = None, *,
                      max_schedules: int = 512,
-                     max_worlds: int = 256) -> List[SymbolicFinding]:
+                     max_worlds: int = 256,
+                     **overrides) -> List[SymbolicFinding]:
     """Pitchfork with its symbolic back end (findings only).
 
     See :func:`analyze_symbolic_result` for the full result with
@@ -699,8 +709,8 @@ def analyze_symbolic(program: Program, config: Config,
     findings list from a truncated run must not read as "secure".
     """
     result = analyze_symbolic_result(
-        program, config, bound=bound, fwd_hazards=fwd_hazards,
-        max_schedules=max_schedules, max_worlds=max_worlds)
+        program, config, options, max_schedules=max_schedules,
+        max_worlds=max_worlds, **overrides)
     if result.truncated:
         import warnings
         warnings.warn(

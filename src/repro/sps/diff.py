@@ -46,7 +46,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..api.analyses import explore_knobs
 from ..api.project import AnalysisOptions
 from ..core.config import Config
 from ..core.isa import (Br, Call, Fence, Instruction, Load, Op, Ret, Store)
@@ -144,9 +143,7 @@ def _pf_observations(program: Program, config: Config,
     """The explorer's flagged observation set, plus completeness, under
     every exploration knob ``options`` sets (prune, subsume, strategy,
     ...), not only the defaults."""
-    knobs = dict(explore_knobs(options), stop_at_first=False)
-    report = analyze(program, config, bound=options.bound,
-                     fwd_hazards=options.fwd_hazards, **knobs)
+    report = analyze(program, config, options, stop_at_first=False)
     obs = tuple(sorted({repr(v.observation) for v in report.violations}))
     return obs, not report.truncated
 

@@ -23,9 +23,10 @@ from repro.core.machine import Machine
 from repro.core.observations import Rollback, is_secret_dependent
 from repro.core.transient import TBr
 from repro.litmus import all_cases
-from repro.pitchfork.explorer import (ExplorationOptions, ExplorationResult,
-                                      Explorer, PathResult, Violation,
-                                      _Defer, _DelayJmpi)
+from repro.pitchfork.explorer import (MAX_FETCHES, ExplorationOptions,
+                                      ExplorationResult, Explorer,
+                                      PathResult, Violation, _Defer,
+                                      _DelayJmpi)
 from repro.verify.generators import random_config, random_program
 
 
@@ -92,7 +93,7 @@ class ReferenceExplorer(Explorer):
             if path.exhausted or path.finished:
                 return None
             if path.steps >= self.options.max_steps or \
-                    path.fetches >= self.options.max_fetches:
+                    path.fetches >= MAX_FETCHES:
                 path.exhausted = True
                 return None
             arms = self._next_actions(path)
@@ -176,9 +177,14 @@ class ReferenceExplorer(Explorer):
 # ---------------------------------------------------------------------------
 
 def _assert_identical(machine: Machine, config: Config,
-                      options: ExplorationOptions, label: str) -> None:
-    got = Explorer(machine, options).explore(config)
-    want = ReferenceExplorer(machine, options).explore(config)
+                      options: ExplorationOptions, label: str,
+                      assume_unknown_branches: bool = False) -> None:
+    got = Explorer(machine, options,
+                   assume_unknown_branches=assume_unknown_branches
+                   ).explore(config)
+    want = ReferenceExplorer(machine, options,
+                             assume_unknown_branches=assume_unknown_branches
+                             ).explore(config)
     assert got.paths_explored == want.paths_explored, label
     assert got.truncated == want.truncated, label
     assert got.states_stepped == want.states_stepped, label
@@ -207,10 +213,9 @@ class TestRandomizedEquivalence:
         options = ExplorationOptions(
             bound=rng.choice((4, 6, 8)),
             fwd_hazards=bool(seed % 2),
-            assume_unknown_branches=(seed % 5 == 0),
             max_paths=4000)
-        _assert_identical(machine, config, options,
-                          label=f"seed={seed}")
+        _assert_identical(machine, config, options, label=f"seed={seed}",
+                          assume_unknown_branches=(seed % 5 == 0))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tight_budgets_truncate_identically(self, seed):

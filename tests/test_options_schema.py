@@ -1,0 +1,159 @@
+"""One exploration knob record.
+
+:class:`ExplorationOptions` declares every exploration knob once;
+:class:`AnalysisOptions` extends it with the analysis-only sections and
+every Pitchfork entry point takes the record as it is.  These tests pin
+the schema (no field added, none lost, none declared twice), that the
+record reaches the explorer unchanged through every analysis, and that
+an analysis which cannot act on a knob says so.
+"""
+
+import inspect
+from dataclasses import fields
+
+import pytest
+
+import repro.api.analyses as analyses
+import repro.pitchfork as pitchfork
+from repro.api import AnalysisOptions, Project
+from repro.api.cli import _option_overrides, build_parser
+from repro.pitchfork import ExplorationOptions
+from repro.pitchfork.explorer import Explorer
+
+#: The schema of AnalysisOptions: every field name and its default.
+_SCHEMA = {
+    "bound": 20, "fwd_hazards": True, "explore_aliasing": False,
+    "jmpi_targets": (), "rsb_targets": (), "rsb_policy": "directive",
+    "max_paths": 20_000, "max_steps": 40_000, "stop_at_first": True,
+    "strategy": "dfs", "prune": "sleepset", "subsume": False,
+    "budget_seconds": None, "mcts_c": 0.5, "mcts_playout": 8,
+    "telemetry": False, "seed": 0,
+    "max_schedules": 512, "max_worlds": 256, "bound_no_fwd": 250,
+    "bound_fwd": 20, "sct_bound": 8, "sct_max_schedules": 2_000,
+    "policy": "auto", "max_repair_rounds": 16, "shrink": True,
+    "experiments": 8,
+}
+
+
+class TestSingleSource:
+    def test_schema_is_unchanged(self):
+        got = {f.name: f.default for f in fields(AnalysisOptions)}
+        assert got == _SCHEMA
+
+    def test_every_exploration_knob_is_inherited_not_redeclared(self):
+        mine = AnalysisOptions.__dict__["__annotations__"]
+        for f in fields(ExplorationOptions):
+            assert f.name not in mine, f.name
+            assert f in fields(AnalysisOptions), f.name
+
+    @pytest.mark.parametrize("knob", ["max_fetches",
+                                      "assume_unknown_branches"])
+    def test_explorer_only_knobs_left_the_record(self, knob):
+        with pytest.raises(TypeError):
+            AnalysisOptions(**{knob: 1})
+        with pytest.raises(TypeError):
+            ExplorationOptions(**{knob: 1})
+
+    def test_checks_live_on_the_exploration_record(self):
+        for bad in ({"bound": 0}, {"max_paths": -1},
+                    {"strategy": "dijkstra"}, {"rsb_policy": "bogus"}):
+            with pytest.raises(ValueError):
+                ExplorationOptions(**bad)
+        opts = ExplorationOptions(jmpi_targets=[3, 1])
+        assert opts.jmpi_targets == (3, 1)
+
+    def test_entry_points_take_the_record(self):
+        for fn in (pitchfork.analyze, pitchfork.enumerate_schedules,
+                   pitchfork.enumerate_schedule_tree,
+                   pitchfork.schedule_stats,
+                   pitchfork.analyze_symbolic_result):
+            params = inspect.signature(fn).parameters
+            assert "options" in params, fn.__name__
+            assert not set(params) & {"bound", "fwd_hazards", "strategy",
+                                      "prune", "max_paths"}, fn.__name__
+        assert not hasattr(analyses, "explore_knobs")
+        assert not hasattr(pitchfork, "analyze_two_phase")
+
+
+#: Flags of ``analyze``/``repair`` that are not AnalysisOptions fields.
+_NOT_OPTIONS = {"help", "analysis", "reg", "pc", "json", "check",
+                "cross_check", "trace", "preset"}
+
+
+class TestCliFlags:
+    @pytest.mark.parametrize("command", ["analyze", "repair"])
+    def test_every_option_flag_sets_its_field(self, command):
+        parser = build_parser()
+        (sub,) = [a for a in parser._subparsers._group_actions]
+        subparser = sub.choices[command]
+        args = parser.parse_args([command, "kocher_01"])
+        names = {f.name for f in fields(AnalysisOptions)}
+        dests = {a.dest for a in subparser._actions
+                 if a.option_strings and a.dest not in _NOT_OPTIONS}
+        assert dests and dests <= names
+        for dest in dests:
+            setattr(args, dest, ("flag", dest))
+        overrides = _option_overrides(args)
+        for dest in dests:
+            assert overrides[dest] == ("flag", dest)
+
+
+@pytest.fixture
+def explored(monkeypatch):
+    """The options every Explorer built during the test received."""
+    seen = []
+    real_init = Explorer.__init__
+
+    def capture(self, machine, options, *args, **kwargs):
+        seen.append(options)
+        real_init(self, machine, options, *args, **kwargs)
+
+    monkeypatch.setattr(Explorer, "__init__", capture)
+    return seen
+
+
+class TestTheRecordReachesTheExplorer:
+    @pytest.mark.parametrize("analysis", ["repair", "symbolic",
+                                          "pitchfork"])
+    def test_mcts_knobs_are_passed_through(self, analysis, explored):
+        Project.from_litmus("kocher_01").run(
+            analysis, strategy="mcts", mcts_c=3.0, mcts_playout=2)
+        assert explored
+        for options in explored:
+            assert (options.strategy, options.mcts_c,
+                    options.mcts_playout) == ("mcts", 3.0, 2)
+
+    def test_sct_reports_the_search_knobs_it_ignores(self, explored):
+        report = Project.from_litmus("kocher_01").run(
+            "sct", strategy="random", subsume=True, budget_seconds=5)
+        assert report.details["strategy_ignored"] == "random"
+        assert report.details["subsume_ignored"] is True
+        assert report.details["budget_ignored"] == 5
+        assert explored
+        for options in explored:
+            assert options.strategy == "dfs"
+            assert not options.subsume and options.budget_seconds is None
+
+    def test_defaults_report_nothing_ignored(self):
+        for analysis in ("sps", "sct", "symbolic", "repair"):
+            report = Project.from_litmus("kocher_01").run(analysis)
+            assert not [k for k in report.details
+                        if k.endswith("_ignored")], analysis
+
+    @pytest.mark.parametrize("case", ["aliasing_fig2", "ret2spec_fig12",
+                                      "v2_fig11"])
+    @pytest.mark.parametrize("analysis", ["symbolic", "sct"])
+    def test_extension_knobs_reach_symbolic_and_sct(self, analysis, case):
+        """These cases leak only under the aliasing / jmpi-target /
+        RSB-target knobs their project sets; an analysis that dropped
+        the knobs on the way to the explorer reported them secure."""
+        report = Project.from_litmus(case).run(analysis)
+        assert not report.secure
+
+    def test_sct_machine_follows_the_run_rsb_policy(self):
+        """The refuse policy blocks ret2spec; SCT must run its machine
+        under the policy of the run, not of the project."""
+        project = Project.from_litmus("ret2spec_fig12")
+        assert not project.run("sct").secure
+        assert project.run("sct", rsb_policy="refuse").secure
+        assert project.run("pitchfork", rsb_policy="refuse").secure

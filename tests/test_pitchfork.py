@@ -8,9 +8,10 @@ from repro.core.directives import Execute, Fetch
 from repro.core.lattice import PUBLIC, SECRET
 from repro.core.memory import layout
 from repro.litmus import find_case
+from repro.api import Project
 from repro.pitchfork import (AnalysisReport, ExplorationOptions, Explorer,
-                             analyze, analyze_two_phase, enumerate_schedules,
-                             format_report, format_violation, schedule_stats)
+                             analyze, enumerate_schedules, format_report,
+                             format_violation, schedule_stats)
 
 
 def _machine(src):
@@ -118,22 +119,21 @@ class TestDetector:
         assert secret_observations(res.trace)
 
     def test_two_phase_stops_after_phase_one_hit(self):
-        case = find_case("v1_fig1")
-        report = analyze_two_phase(case.program, case.config(),
-                                   bound_no_fwd=20, bound_fwd=8)
-        assert report.phase == "v1/v1.1" and not report.secure
+        report = Project.from_litmus("v1_fig1").run(
+            "two-phase", bound_no_fwd=20, bound_fwd=8)
+        assert [p.name for p in report.phases] == ["v1/v1.1"]
+        assert not report.secure
 
     def test_two_phase_falls_through_to_v4(self):
-        case = find_case("v4_fig7")
-        report = analyze_two_phase(case.program, case.config(),
-                                   bound_no_fwd=20, bound_fwd=8)
-        assert report.phase == "v4" and not report.secure
+        report = Project.from_litmus("v4_fig7").run(
+            "two-phase", bound_no_fwd=20, bound_fwd=8)
+        assert report.phases[-1].name == "v4" and not report.secure
 
     def test_two_phase_clean_program(self):
         m = assemble("%ra = op mov, 1\nhalt")
         c = Config.initial({}, Memory(), 1)
-        report = analyze_two_phase(m, c, bound_no_fwd=8, bound_fwd=8)
-        assert report.secure and report.phase == "v4"
+        report = Project(m, c).run("two-phase", bound_no_fwd=8, bound_fwd=8)
+        assert report.secure and report.phases[-1].name == "v4"
 
 
 class TestReports:

@@ -84,6 +84,38 @@ def test_store_key_accepts_options_or_canonical_tuple():
         != store_key("two-phase", fp, options)
 
 
+# -- pinned keys -------------------------------------------------------------
+
+#: Literal digests for three option sets.  A store filled by an earlier
+#: build must stay addressable, so any change to the option schema
+#: (field names, defaults, inheritance) that moves these is a break.
+_KOCHER_01 = ("90fc5e28bad1662ef29daff314f68a2e"
+              "dec8172c4bb77f526eb6623a1100f42d")
+_PINNED = [
+    (AnalysisOptions(),
+     "2e38e77b22c314a449e91fafed92a43826ac6aa403ae6a8acb6cf58239fbaf5d",
+     "d4223e241d5579ef3aa814a2b07bd2c1abbd4c46587c260481566451a1b3ce8a"),
+    (AnalysisOptions.table2(),
+     "9926d68521ceac3b1b6de3a732aa82bd42faa37bf8666d99dd0b737378e8b75e",
+     "54ed7b38994bcd6c3369e8ac07d09cbacb88e9467ae50d22a5ad6b437bf715bb"),
+    (AnalysisOptions(strategy="mcts", mcts_c=2.0, mcts_playout=4,
+                     prune="full", subsume=True, jmpi_targets=[7, 3]),
+     "7076b89b96f1a43dfb943a2fe552361e0dfa5b768893f93df544ba63dc5a4d52",
+     "7fbc17095965145a5b8bac81420baa1a4c3ff9a77bccbed51356d7937ef12d72"),
+]
+
+
+def test_pinned_target_digest():
+    assert fingerprint_digest(Project.from_litmus("kocher_01")) == _KOCHER_01
+
+
+@pytest.mark.parametrize("options,opt_digest,key", _PINNED,
+                         ids=["default", "table2", "tuned"])
+def test_pinned_store_keys(options, opt_digest, key):
+    assert options_digest(options) == opt_digest
+    assert store_key("pitchfork", _KOCHER_01, options) == key
+
+
 # -- cross-process stability -------------------------------------------------
 
 _CHILD = """

@@ -373,11 +373,12 @@ class TestOracleMatrix:
         assert [r.name for r in records if not r.complete] == []
 
     def test_options_reach_the_explorer(self, monkeypatch):
+        from repro.pitchfork.explorer import resolve_options
         from repro.sps import diff
-        seen = {}
+        seen = []
 
-        def fake_analyze(program, config, **kw):
-            seen.update(kw)
+        def fake_analyze(program, config, options=None, **overrides):
+            seen.append(resolve_options(options, overrides))
             return _FakeReport()
 
         monkeypatch.setattr(diff, "analyze", fake_analyze)
@@ -385,11 +386,12 @@ class TestOracleMatrix:
         options = AnalysisOptions(prune="full", subsume=True,
                                   strategy="mcts", seed=5, max_paths=500)
         diff._pf_observations(program, config, options)
-        assert {k: seen[k] for k in ("prune", "subsume", "strategy",
-                                     "seed", "max_paths")} == \
+        (got,) = seen
+        assert {k: getattr(got, k) for k in ("prune", "subsume", "strategy",
+                                             "seed", "max_paths")} == \
             dict(prune="full", subsume=True, strategy="mcts", seed=5,
                  max_paths=500)
-        assert seen["stop_at_first"] is False
+        assert got.stop_at_first is False
 
 
 class _FakeReport:

@@ -3,67 +3,57 @@ phase-2 skip, and the API classification built on top of it."""
 
 import pytest
 
-import repro.pitchfork.detector as detector
+import repro.api.analyses as analyses
 from repro.api import Project
 from repro.litmus import find_case
-from repro.pitchfork import analyze_two_phase
+
+
+def _two_phase(name):
+    case = find_case(name)
+    return Project.from_litmus(case).run(
+        "two-phase", bound_no_fwd=case.min_bound, bound_fwd=case.min_bound)
+
+
+def _count_phases(monkeypatch):
+    """Record ``fwd_hazards`` of every exploration the analysis runs."""
+    calls = []
+    real_analyze = analyses.analyze
+
+    def counting_analyze(program, config, options=None, **kwargs):
+        calls.append(options.fwd_hazards)
+        return real_analyze(program, config, options, **kwargs)
+
+    monkeypatch.setattr(analyses, "analyze", counting_analyze)
+    return calls
 
 
 class TestAnalyzeTwoPhase:
     def test_v1_leak_is_labelled_phase_one(self):
-        case = find_case("v1_fig1")
-        report = analyze_two_phase(case.program, case.config(),
-                                   bound_no_fwd=case.min_bound,
-                                   bound_fwd=case.min_bound)
+        report = _two_phase("v1_fig1")
         assert not report.secure
-        assert report.phase == "v1/v1.1"
-        assert report.bound == case.min_bound
+        (phase,) = report.phases
+        assert phase.name == "v1/v1.1"
+        assert phase.bound == find_case("v1_fig1").min_bound
 
     def test_v4_leak_is_labelled_phase_two(self):
-        case = find_case("v4_fig7")
-        report = analyze_two_phase(case.program, case.config(),
-                                   bound_no_fwd=case.min_bound,
-                                   bound_fwd=case.min_bound)
+        report = _two_phase("v4_fig7")
         assert not report.secure
-        assert report.phase == "v4"
+        assert report.phases[-1].name == "v4"
 
     def test_clean_program_reports_phase_two(self):
-        case = find_case("v1_fig8_fence")
-        report = analyze_two_phase(case.program, case.config(),
-                                   bound_no_fwd=case.min_bound,
-                                   bound_fwd=case.min_bound)
-        assert report.secure and report.phase == "v4"
+        report = _two_phase("v1_fig8_fence")
+        assert report.secure and report.phases[-1].name == "v4"
 
     def test_phase_two_skipped_after_phase_one_violation(self, monkeypatch):
         """A phase-1 finding must short-circuit: phase 2 never runs."""
-        calls = []
-        real_analyze = detector.analyze
-
-        def counting_analyze(*args, **kwargs):
-            calls.append(kwargs.get("fwd_hazards"))
-            return real_analyze(*args, **kwargs)
-
-        monkeypatch.setattr(detector, "analyze", counting_analyze)
-        case = find_case("v1_fig1")
-        report = analyze_two_phase(case.program, case.config(),
-                                   bound_no_fwd=case.min_bound,
-                                   bound_fwd=case.min_bound)
+        calls = _count_phases(monkeypatch)
+        report = _two_phase("v1_fig1")
         assert not report.secure
         assert calls == [False]
 
     def test_both_phases_run_when_phase_one_clean(self, monkeypatch):
-        calls = []
-        real_analyze = detector.analyze
-
-        def counting_analyze(*args, **kwargs):
-            calls.append(kwargs.get("fwd_hazards"))
-            return real_analyze(*args, **kwargs)
-
-        monkeypatch.setattr(detector, "analyze", counting_analyze)
-        case = find_case("v4_fig7")
-        analyze_two_phase(case.program, case.config(),
-                          bound_no_fwd=case.min_bound,
-                          bound_fwd=case.min_bound)
+        calls = _count_phases(monkeypatch)
+        _two_phase("v4_fig7")
         assert calls == [False, True]
 
 
