@@ -10,8 +10,7 @@ extensions that go beyond the original tool:
   per-store deferral the naive reading of Def B.18 suggests;
 * RSB policies (App A.2): the "directive" policy is attackable by
   ret2spec, "refuse" (AMD) and "circular" (most Intel) change the
-  attack surface;
-* symbolic vs concrete detection cost on the same gadget.
+  attack surface.
 """
 
 import pytest
@@ -19,11 +18,9 @@ import pytest
 from conftest import once
 
 from repro.asm import ProgramBuilder
-from repro.core import Config, Machine, Memory, StuckError, Value, fetch, run
-from repro.core.lattice import PUBLIC
+from repro.core import Config, Machine, Memory, StuckError, fetch, run
 from repro.litmus import find_case
-from repro.pitchfork import (ExplorationOptions, Explorer, Sym, analyze,
-                             analyze_symbolic, schedule_stats)
+from repro.pitchfork import ExplorationOptions, Explorer, schedule_stats
 
 
 def _branchy_program(branches: int):
@@ -119,33 +116,3 @@ class TestRSBPolicies:
 
         assert once(benchmark, steer_attempt) == "not steerable"
 
-
-def test_symbolic_vs_concrete_cost(benchmark):
-    """The symbolic back end costs more per schedule but answers the
-    all-inputs question; measure both on Fig 1's gadget."""
-    from repro.asm import assemble
-    from repro.core import layout
-    from repro.core.lattice import SECRET
-
-    prog = assemble("""
-        br gt, 4, %ra -> 2, 4
-        %rb = load [0x40, %ra]
-        %rc = load [0x44, %rb]
-        halt
-    """)
-    mem = layout(("A", 4, PUBLIC, [1, 2, 3, 0]), ("B", 4, PUBLIC, None),
-                 ("Key", 4, SECRET, [0xA1, 0xA2, 0xA3, 0xA4]))
-
-    def both():
-        concrete = analyze(prog, Config.initial({"ra": 9}, mem, 1),
-                           bound=12, fwd_hazards=False)
-        symbolic = analyze_symbolic(
-            prog,
-            Config.initial({"ra": Value(Sym("x", tuple(range(12))))},
-                           mem, 1),
-            bound=12, fwd_hazards=False)
-        return concrete, symbolic
-
-    concrete, symbolic = once(benchmark, both)
-    assert not concrete.secure
-    assert symbolic and all(f.model["x"] >= 4 for f in symbolic)

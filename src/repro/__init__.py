@@ -22,8 +22,8 @@ Subpackages
     The structural-sharing execution core every driver steps through:
     :class:`~repro.engine.ExecutionEngine` (step/fork/reuse counters,
     trial-step cache), O(1)-fork :class:`~repro.engine.MachineState`,
-    persistent :class:`~repro.engine.Log` journals, and the
-    :class:`~repro.engine.ScheduleTree` fork trie (see DESIGN.md).
+    persistent :class:`~repro.engine.Log` journals, and the pluggable
+    search frontiers (see DESIGN.md).
 ``repro.core``
     The speculative out-of-order machine semantics, attacker directives,
     leakage observations, and the speculative constant-time (SCT)
@@ -32,7 +32,7 @@ Subpackages
     An assembly front end for the paper's instruction language.
 ``repro.pitchfork``
     The Pitchfork detector: worst-case schedule generation and
-    taint/symbolic exploration (Section 4).
+    taint-tracking exploration (Section 4).
 ``repro.ctcomp``
     A mini constant-time language and compiler standing in for the
     FaCT-vs-C comparison of the evaluation, plus the blanket mitigation

@@ -14,8 +14,7 @@ execution.
 * :class:`AnalysisOptions` — every knob, validated, with ``paper()`` and
   ``table2()`` presets;
 * :mod:`~repro.api.analyses` — the pluggable analysis registry
-  (pitchfork, two-phase, symbolic, sct, cache-attack, metatheory,
-  repair);
+  (pitchfork, two-phase, sps, sct, cache-attack, metatheory, repair);
 * :class:`~repro.api.report.Report` — the unified, serialisable result;
 * :class:`AnalysisManager` — worker-pool batch execution with a result
   cache;

@@ -32,11 +32,10 @@ from typing import Dict, List, Optional, Tuple, Type
 from ..core.machine import Machine
 from ..core.sct import check_sct
 from ..engine import ExecutionEngine
-from ..pitchfork import (ExplorationOptions, analyze,
-                         analyze_symbolic_result, enumerate_schedules)
+from ..pitchfork import ExplorationOptions, analyze, enumerate_schedules
 from .project import AnalysisOptions, Project
 from .report import (PhaseReport, Report, from_analysis_report,
-                     summarize_counterexample, summarize_finding)
+                     summarize_counterexample)
 
 _REGISTRY: Dict[str, Type["Analysis"]] = {}
 
@@ -51,6 +50,9 @@ _ALIASES = {
     "mitigation": "repair",
     "speculation-passing": "sps",
     "speculation_passing": "sps",
+    # No front end can build a symbolic input, so the question is
+    # Pitchfork's (DESIGN.md, "The deleted symbolic back end").
+    "symbolic": "pitchfork",
 }
 
 
@@ -291,52 +293,6 @@ class TwoPhaseAnalysis(Analysis):
 
 
 @register
-class SymbolicAnalysis(Analysis):
-    """Pitchfork's symbolic back end on the engine's schedule tree.
-
-    Enumerates DT(``options.bound``) once — keeping the DFS fork
-    structure — and replays the schedule *tree* symbolically, resuming
-    every shared prefix from its snapshot instead of re-running each
-    schedule from step 0 (fully concrete targets skip the replay and
-    harvest the recorded traces).  Reports a solved attacker-input
-    model per finding, plus step/reuse counters and honest truncation.
-    """
-
-    name = "symbolic"
-    description = ("symbolic replay of the tool-schedule tree (§4.2): "
-                   "solve for attacker inputs reaching secret "
-                   "observations; prefix-shared via repro.engine")
-    #: Concrete-state subsumption is unsound for symbolic replay (two
-    #: equal concrete configurations may differ in the symbolic worlds
-    #: reaching them); the replay has no anytime mode (a partial
-    #: symbolic sweep cannot report honest coverage); and telemetry
-    #: instruments a frontier pop loop the replay does not drive.
-    ignores = ("subsume", "budget_seconds", "telemetry")
-
-    def _run(self, project: Project, options: AnalysisOptions) -> Report:
-        t0 = time.perf_counter()
-        result = analyze_symbolic_result(
-            project.program, project.config(), options,
-            max_schedules=options.max_schedules,
-            max_worlds=options.max_worlds)
-        details = {"worlds": result.replay.worlds,
-                   "solver_calls": result.replay.solver_calls,
-                   "prune": options.prune}
-        return Report(
-            target=project.name, analysis=self.name,
-            status="secure" if result.secure else "insecure",
-            secure=result.secure,
-            violations=tuple(summarize_finding(f) for f in result.findings),
-            paths_explored=result.schedules,
-            states_stepped=result.states_stepped,
-            states_reused=result.states_reused,
-            truncated=result.truncated,
-            wall_time=time.perf_counter() - t0,
-            details=details,
-        )
-
-
-@register
 class SCTAnalysis(Analysis):
     """The full two-trace SCT check (Definition 3.1).
 
@@ -501,6 +457,10 @@ class MetatheoryAnalysis(Analysis):
     name = "metatheory"
     description = ("replay the Appendix B theorem checks on this target "
                    "under random well-formed schedules")
+    #: The checks draw random schedules instead of exploring DT(n):
+    #: of the exploration knobs only the seed and the RSB policy apply.
+    ignores = tuple(f.name for f in fields(ExplorationOptions)
+                    if f.name not in ("seed", "rsb_policy"))
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         from ..verify.generators import random_schedule
@@ -511,7 +471,8 @@ class MetatheoryAnalysis(Analysis):
         # The theorem checks replay each drawn schedule several times
         # (determinism runs it twice, consistency replays pairs); the
         # engine counts that work so it lands in the report.
-        machine = ExecutionEngine(project.machine())
+        machine = ExecutionEngine(
+            Machine(project.program, rsb_policy=options.rsb_policy))
         config = project.config()
         rng = random.Random(options.seed)
         failures: List[Dict[str, str]] = []

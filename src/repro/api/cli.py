@@ -53,9 +53,8 @@ def _option_overrides(args) -> Dict:
 
 def _warn_truncated(reports) -> None:
     """Surface capped coverage honestly: a truncated report means a
-    max_paths/max_steps/max_schedules/max_worlds cap bit (or the
-    wall-clock budget expired), so "secure" only speaks for the explored
-    fraction."""
+    max_paths/max_steps cap bit (or the wall-clock budget expired), so
+    "secure" only speaks for the explored fraction."""
     budgeted = [r.target for r in reports if r.truncated
                 and r.anytime is not None and r.anytime.get("deadline_hit")]
     names = [r.target for r in reports if r.truncated
@@ -69,9 +68,8 @@ def _warn_truncated(reports) -> None:
         return
     shown = ", ".join(names[:6]) + (", …" if len(names) > 6 else "")
     print(f"warning: exploration truncated for {shown} — a "
-          f"max-paths/max-steps/max-schedules/max-worlds cap was hit; "
-          f"coverage is partial (raise the caps to explore fully)",
-          file=sys.stderr)
+          f"max-paths/max-steps cap was hit; coverage is partial (raise "
+          f"the caps to explore fully)", file=sys.stderr)
 
 
 def _add_preset_flag(parser: argparse.ArgumentParser) -> None:
@@ -96,10 +94,6 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-paths", type=int, help="path-count cap")
     parser.add_argument("--max-steps", type=int,
                         help="per-path step budget")
-    parser.add_argument("--max-schedules", type=int,
-                        help="symbolic back end: schedule cap")
-    parser.add_argument("--max-worlds", type=int,
-                        help="symbolic back end: live-world cap")
     from ..engine import available_strategies
     parser.add_argument("--strategy", choices=available_strategies(),
                         help="frontier search order (default: dfs); the "
@@ -116,7 +110,7 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
                         help="prune fork arms whose state was already "
                              "explored with same-or-weaker obligations "
                              "(default: off); the observation set is "
-                             "unchanged (symbolic runs ignore it)")
+                             "unchanged (sps and sct runs ignore it)")
     parser.add_argument("--no-subsume", dest="subsume",
                         action="store_false",
                         help="disable redundant-state subsumption")
@@ -719,7 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_repair.add_argument("-a", "--analysis", default="pitchfork",
                           help="verifying detector for the repair loop "
                                "(default and only option: pitchfork)")
-    p_repair.add_argument("--policy", choices=("fence", "slh", "auto"),
+    from ..mitigate import REPAIR_POLICIES
+    p_repair.add_argument("--policy", choices=REPAIR_POLICIES,
                           help="per-site mitigation policy (default: auto — "
                                "SLH masking for v1 loads, fences otherwise)")
     p_repair.add_argument("--max-rounds", dest="max_repair_rounds",

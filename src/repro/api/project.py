@@ -24,6 +24,7 @@ from ..core.config import Config
 from ..core.machine import Machine
 from ..core.memory import Memory
 from ..core.program import Program
+from ..mitigate import REPAIR_POLICIES
 from ..pitchfork.explorer import ExplorationOptions
 
 #: Default Table 2 bounds (see ``repro.casestudies.common``): the ported
@@ -47,18 +48,14 @@ class AnalysisOptions(ExplorationOptions):
     :class:`~repro.pitchfork.ExplorationOptions`, which declares,
     documents and checks each of them once; the record is handed to
     the Pitchfork layers as it is.  This class adds only what the
-    analyses beyond a single exploration read: the symbolic back end's
-    caps, the two-phase bounds (§4.2.1), the SCT and metatheory
-    sections and the repair loop's knobs.  Constructors:
+    analyses beyond a single exploration read: the two-phase bounds
+    (§4.2.1), the SCT and metatheory sections and the repair loop's
+    knobs.  Constructors:
 
     * :meth:`paper` — the paper's evaluation bounds (250/20);
     * :meth:`table2` — the scaled Table 2 bounds (28/20);
     * :meth:`for_case` — mirror a litmus case's ground-truth knobs.
     """
-
-    # -- the symbolic back end ----------------------------------------------
-    max_schedules: int = 512        #: tool schedules replayed symbolically
-    max_worlds: int = 256           #: live symbolic worlds per replay
 
     # -- the two-phase procedure (§4.2.1) -----------------------------------
     bound_no_fwd: int = PAPER_BOUND_NO_FWD   #: phase 1 (v1/v1.1) bound
@@ -83,13 +80,13 @@ class AnalysisOptions(ExplorationOptions):
     def __post_init__(self):
         super().__post_init__()
         for name in ("bound_no_fwd", "bound_fwd", "sct_bound",
-                     "max_schedules", "max_worlds", "sct_max_schedules",
-                     "experiments", "max_repair_rounds"):
+                     "sct_max_schedules", "experiments",
+                     "max_repair_rounds"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.policy not in ("fence", "slh", "auto"):
-            raise ValueError(f"policy must be one of "
-                             f"('fence', 'slh', 'auto'), got {self.policy!r}")
+        if self.policy not in REPAIR_POLICIES:
+            raise ValueError(f"policy must be one of {REPAIR_POLICIES}, "
+                             f"got {self.policy!r}")
 
     # -- presets -------------------------------------------------------------
 

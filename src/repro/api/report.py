@@ -107,23 +107,6 @@ def summarize_violation(violation) -> Dict[str, Any]:
     }
 
 
-def summarize_finding(finding) -> Dict[str, Any]:
-    """A JSON-able digest of a
-    :class:`repro.pitchfork.SymbolicFinding`.
-
-    A finding records the witnessing schedule and a solved input model
-    but not the position of the observation within the schedule, so —
-    unlike :func:`summarize_violation` — no ``step_index``/``directive``
-    is reported rather than a misleading one.
-    """
-    return {
-        "observation": repr(finding.observation),
-        "schedule_tail": [repr(d) for d in finding.schedule[-8:]],
-        "model": {k: v for k, v in sorted(finding.model.items())},
-        "constraints": [repr(c) for c in finding.constraints],
-    }
-
-
 def summarize_counterexample(cex) -> Dict[str, Any]:
     """A JSON-able digest of an :class:`repro.core.SCTCounterExample`."""
     return {
@@ -150,9 +133,9 @@ class Report:
     #: ``states_reused`` for every analysis: stepped + reused is what
     #: the same work would cost without sharing.
     states_stepped: int = 0
-    #: Machine steps the execution engine served from shared prefixes,
-    #: recorded snapshots, or its trial-step cache instead of
-    #: re-executing — the observable half of the engine's speedup.
+    #: Machine steps the execution engine served from shared prefixes
+    #: or its trial-step cache instead of re-executing — the observable
+    #: half of the engine's speedup.
     states_reused: int = 0
     truncated: bool = False
     #: The SCT quantifier found no real pair to check (see
@@ -383,8 +366,6 @@ class Report:
             line = f"  violation: {v['observation']}"
             if "step_index" in v:
                 line += f" at step {v['step_index']} via {v['directive']}"
-            if v.get("model"):
-                line += f" with {v['model']}"
             lines.append(line)
         extra = len(self.violations) - max_violations
         if extra > 0:

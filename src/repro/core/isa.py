@@ -7,9 +7,7 @@ calculation operator ``addr`` (Section 3.4, "Address calculation").
 
 The machine is parametric in evaluation: it calls into an
 :class:`Evaluator`, whose default :class:`ConcreteEvaluator` computes over
-Python ints.  The Pitchfork symbolic executor plugs in a symbolic
-evaluator without touching the semantics (see
-:mod:`repro.pitchfork.symex`).
+Python ints.
 """
 
 from __future__ import annotations
@@ -227,15 +225,11 @@ class Evaluator:
     values* and is responsible for propagating labels (join of the
     operand labels, per the semantics).
 
-    ``pure`` declares that the entry points are functions of their
-    arguments alone (no hidden mutable state), so one machine step is a
-    function of ``(configuration, directive)`` — the property the
-    execution engine's step cache relies on (Theorem B.1).  Stateful
-    evaluators (e.g. the symbolic one, which accumulates decisions)
-    must set it to False.
+    The entry points must be functions of their arguments alone (no
+    hidden mutable state), so one machine step is a function of
+    ``(configuration, directive)`` — the property the execution
+    engine's step cache relies on (Theorem B.1).
     """
-
-    pure: bool = True
 
     def evaluate(self, opcode: str, vals: Sequence[Value]) -> Value:
         """Apply ``J opcode K`` to resolved operand values."""
@@ -250,11 +244,8 @@ class Evaluator:
         raise NotImplementedError
 
     def concretize(self, value: Value) -> int:
-        """Extract a concrete machine address from a value.
-
-        The symbolic evaluator mirrors angr's behaviour of concretizing
-        addresses; the concrete evaluator just checks for an int.
-        """
+        """Extract a concrete machine address from a value (the
+        concrete evaluator just checks for an int)."""
         raise NotImplementedError
 
 

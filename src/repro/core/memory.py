@@ -42,9 +42,9 @@ def _cell_hash(addr: int, value: Value) -> int:
     (matching ``cells()`` equality, which has no order) and — crucially
     — invertible: a write can XOR the old cell's contribution out and
     the new one in, so the hash of ``µ[a ↦ v]`` is O(1) from the hash
-    of ``µ``.  Non-integer payloads (symbolic expressions) contribute a
-    constant, exactly like the seed hash which skipped them; equality
-    still compares them fully.
+    of ``µ``.  Non-integer payloads contribute a constant, exactly like
+    the seed hash which skipped them; equality still compares them
+    fully.
     """
     payload = value.val
     if type(payload) is not int:

@@ -2,9 +2,8 @@
 
 The machine computes over *labelled values* ``v_ℓ`` (Section 3,
 "Values and labels"): a payload together with a security label.  The
-payload is normally a Python ``int`` but the machine is parametric in it —
-the Pitchfork symbolic executor substitutes symbolic expressions
-(:mod:`repro.pitchfork.symex`) without changing the semantics.
+payload is a Python ``int``; the machine only reads it through its
+:class:`~repro.core.isa.Evaluator`.
 
 Instruction operands (the paper's ``r⃗v``) are either register names
 (:class:`Reg`) or immediate labelled values (:class:`Value`).
@@ -36,10 +35,9 @@ _INTERN_RANGE = range(-1024, 4097)
 class Value:
     """A labelled value ``v_ℓ``.
 
-    ``val`` is the payload (an int, or a symbolic expression under the
-    Pitchfork executor); ``label`` is its security label.  Small integer
-    values are interned: construction may return a shared (still
-    immutable) instance.
+    ``val`` is the payload (an int); ``label`` is its security label.
+    Small integer values are interned: construction may return a shared
+    (still immutable) instance.
     """
 
     val: object

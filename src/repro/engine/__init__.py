@@ -1,10 +1,10 @@
 """``repro.engine`` — the structural-sharing execution core.
 
-One engine under every driver: the Pitchfork explorer, the symbolic
-runner, the sequential runner, the SCT two-trace product and the
-metatheory checks all step configurations through
-:class:`ExecutionEngine`, which adds step/fork/reuse accounting and a
-trial-step cache over the (pure, deterministic) machine relation.
+One engine under every driver: the Pitchfork explorer, the sequential
+runner, the SCT two-trace product and the metatheory checks all step
+configurations through :class:`ExecutionEngine`, which adds
+step/fork/reuse accounting and a trial-step cache over the
+(deterministic) machine relation.
 
 The supporting structures make forking free:
 
@@ -12,14 +12,11 @@ The supporting structures make forking free:
   with O(1) append and fork, materialized lazily;
 * :class:`MachineState` — one exploration arm: configuration + logs +
   budgets, forked in O(1);
-* :class:`ScheduleTree` — the DFS fork trie over an enumerated
-  schedule family; tree walks visit each shared prefix once instead of
-  re-running every schedule from step 0;
 * :class:`Frontier` — the pending-work set, with the visit order as a
   pluggable :func:`make_frontier` strategy (``dfs``/``bfs``/``random``/
-  ``coverage``/``mcts``); every tree-walking driver pushes fork arms
-  into one instead of hardcoding a stack, and may feed path outcomes
-  back through the ``reward`` hook;
+  ``coverage``/``mcts``); the explorer pushes fork arms into one
+  instead of hardcoding a stack, and may feed path outcomes back
+  through the ``reward`` hook;
 * :class:`MCTSFrontier` — best-first violation hunting: a UCT bandit
   over the fork trie with playout priors (speculation-window depth,
   tainted-load proximity, PC novelty) and back-propagated violation
@@ -49,14 +46,13 @@ from .por import (PRUNE_LEVELS, Footprint, PruningStats, footprint,
                   hazard_load, independent, validate_prune)
 from .state import MachineState
 from .subsume import SeenStates, SubsumptionStats, validate_subsume
-from .tree import ScheduleTree, TreeNode
 
 __all__ = [
     "BreadthFirstFrontier", "CoverageFrontier", "DepthFirstFrontier",
     "EngineStats", "ExecutionEngine", "EMPTY_LOG", "Footprint", "Frontier",
     "Log", "MCTSFrontier", "MachineState", "PRUNE_LEVELS", "PruningStats",
-    "RandomFrontier", "ScheduleTree", "SeenStates", "SubsumptionStats",
-    "TreeNode", "available_strategies", "footprint", "hazard_load",
+    "RandomFrontier", "SeenStates", "SubsumptionStats",
+    "available_strategies", "footprint", "hazard_load",
     "independent", "make_frontier", "register_strategy",
     "strategy_descriptions", "validate_mcts", "validate_prune",
     "validate_subsume",

@@ -3,8 +3,8 @@
 :class:`ExecutionEngine` wraps a :class:`~repro.core.machine.Machine`
 and is a drop-in replacement for it wherever a driver only needs
 ``step``/``enabled_directives``/``program``/``evaluator`` — the
-Explorer, the symbolic runner, the sequential runner, the SCT two-trace
-product and the metatheory checks all accept either.  On top of the raw
+Explorer, the sequential runner, the SCT two-trace product and the
+metatheory checks all accept either.  On top of the raw
 small-step relation it adds:
 
 * **step accounting** (:class:`EngineStats`): how many times the
@@ -13,17 +13,17 @@ small-step relation it adds:
   shared prefix instead of being re-executed;
 * **a trial-step cache**: schedulers like Definition B.18 trial-step a
   directive to ask "is this enabled here?" and then immediately commit
-  the same step.  Configurations are immutable, and for a *pure*
-  evaluator (no hidden state — see ``Evaluator.pure``) the step
-  relation is a function of ``(configuration, directive)`` (Theorem
-  B.1, determinism), so the engine remembers the trial's successor and
-  hands it back on commit instead of re-running the rule.
+  the same step.  Configurations are immutable and evaluators keep no
+  hidden state, so the step relation is a function of
+  ``(configuration, directive)`` (Theorem B.1, determinism); the engine
+  remembers the trial's successor and hands it back on commit instead
+  of re-running the rule.
 
 The cache is keyed on the configuration's *structural hash* (cached on
 the configuration and computed incrementally by its components, so a
 key costs an int lookup) with a full-equality confirm on the pinned
 configuration at hit time.  Structural keying is sound for the same
-reason the cache exists at all — the pure step relation is a function
+reason the cache exists at all — the step relation is a function
 of the configuration's *value* (Theorem B.1) — and it is what lets
 sibling branches share trials: two arms that converge on equal
 configurations hit each other's entries and receive the *same*
@@ -105,7 +105,6 @@ class ExecutionEngine:
         # the pinned configuration is equality-confirmed on every hit,
         # so hash collisions can only cost a miss, never a wrong answer.
         self._cache: Dict[Tuple[int, Directive], Tuple[Config, object]] = {}
-        self._cacheable = getattr(machine.evaluator, "pure", False)
 
     # -- Machine facade -----------------------------------------------------
 
@@ -130,7 +129,7 @@ class ExecutionEngine:
     def step(self, config: Config,
              directive: Directive) -> Tuple[Config, StepLeakage]:
         """``C ↪_d^o C'`` with accounting; raises StuckError as usual."""
-        if not self._cacheable or type(directive) is not Execute:
+        if type(directive) is not Execute:
             # Only execute directives are ever trial-stepped before
             # being committed; fetch/retire steps would fill (and
             # churn) the cache without any chance of a hit.

@@ -33,9 +33,8 @@ Every strategy explores the *same* set when run to completion — only
 the order (and therefore which paths survive a ``max_paths`` cap, and
 how fast ``stop_at_first`` fires) changes.  The frontier is generic
 over items: the Pitchfork explorer pushes
-:class:`~repro.engine.state.MachineState` values, the symbolic replay
-pushes ``(tree node, worlds)`` pairs.  Strategies that rank by program
-location receive a ``pc_of`` callable mapping an item to its current
+:class:`~repro.engine.state.MachineState` values.  Strategies that rank
+by program location receive a ``pc_of`` callable mapping an item to its current
 fetch PC.
 
 Drivers may report path outcomes back through :meth:`Frontier.reward`;

@@ -5,10 +5,9 @@ this one optimises the bug-hunting objective — reach a speculative-CT
 violation in as few machine steps as possible.  It is the Legion idea
 (MCTS over the path tree, cheap simulations scoring subtrees before
 committing expensive effort) applied to Definition B.18's schedule
-tree: the frontier mirrors the explorer's fork structure as a trie (the
-same shape :class:`~repro.engine.tree.ScheduleTree` materialises for
-the symbolic replay), every fork arm is a bandit arm, and each ``pop``
-walks root-to-leaf choosing the child maximising the UCT score
+tree: the frontier mirrors the explorer's fork structure as a trie,
+every fork arm is a bandit arm, and each ``pop`` walks root-to-leaf
+choosing the child maximising the UCT score
 
     Q(child) + c * sqrt(ln(N(parent) + 1) / (N(child) + 1))
 
@@ -134,7 +133,7 @@ class MCTSFrontier(Frontier):
     The trie is reconstructed from the push/pop protocol alone: the
     explorer pops an item, advances it to its next fork, and pushes the
     fork's arms — so every push between two pops is a child of the last
-    popped node.  That is exactly the ScheduleTree fork structure,
+    popped node.  That is exactly the explorer's fork structure,
     built online without touching the driver.
 
     Deterministic: scores are pure functions of the trie state and ties
@@ -248,8 +247,8 @@ class MCTSFrontier(Frontier):
 
     def _prior(self, item: Any) -> float:
         """Cheap playout signals blended into [0, 1]; items without a
-        machine configuration (the symbolic replay pushes tree-node
-        pairs) degrade to the novelty term alone.
+        machine configuration (the frontier is generic over items)
+        degrade to the novelty term alone.
 
         The transmit term prefers, in order: an arm whose reorder
         buffer already holds a tainted transmitter *and* whose fetch

@@ -175,7 +175,7 @@ def footprint(machine, config: Config, d: Directive) -> Optional[Footprint]:
     """The directive's read/write footprint at this configuration.
 
     Returns None when the footprint cannot be determined (directive not
-    applicable here, unresolved operands, symbolic addresses) — callers
+    applicable here, unresolved operands, non-integer addresses) — callers
     must treat that as "dependent on everything".
 
     The footprint encodes the hazard relation of §3.4 as data: a

@@ -16,13 +16,14 @@ from .localize import LocalizeStats, ViolationSite, localize, \
     localize_all, replay_attribution
 from .passes import (SLH_PREFIX, AppliedMitigation, MitigationError,
                      apply_fence, apply_slh, remove_fence, remove_slh)
-from .synth import (REPAIR_STATUSES, MitigationSynthesizer, RepairResult,
-                    RepairStep, SynthesisOptions, repair,
+from .synth import (REPAIR_POLICIES, REPAIR_STATUSES, MitigationSynthesizer,
+                    RepairResult, RepairStep, SynthesisOptions, repair,
                     verify_certificate)
 
 __all__ = [
     "AppliedMitigation", "LocalizeStats", "MitigationError",
-    "MitigationSynthesizer", "REPAIR_STATUSES", "RepairResult",
+    "MitigationSynthesizer", "REPAIR_POLICIES", "REPAIR_STATUSES",
+    "RepairResult",
     "RepairStep", "SLH_PREFIX", "SynthesisOptions", "ViolationSite",
     "apply_fence", "apply_slh", "localize", "localize_all",
     "remove_fence", "remove_slh", "repair", "replay_attribution",

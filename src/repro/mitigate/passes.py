@@ -40,7 +40,6 @@ from ..core.errors import ReproError
 from ..core.isa import Br, Fence, Instruction, Load, Op
 from ..core.program import Program
 from ..core.values import Reg, Value
-from ..ctcomp.passes import _first_unreferenced_point, splice_before
 from .localize import ViolationSite
 
 #: Prefix of the scratch registers SLH sequences introduce.
@@ -87,6 +86,9 @@ def apply_fence(program: Program, pp: int
         raise MitigationError(f"no instruction at program point {pp}")
     if isinstance(program.get(pp), Fence):
         raise MitigationError(f"point {pp} is already a fence")
+    # repro.api imports this package (for REPAIR_POLICIES); importing
+    # repro.ctcomp here keeps its compiler out of that start-up.
+    from ..ctcomp.passes import _first_unreferenced_point, splice_before
     instrs: Dict[int, Instruction] = dict(program.items())
     relocated = _first_unreferenced_point(instrs)
     splice_before(instrs, pp, Fence(relocated), relocated)
@@ -204,6 +206,7 @@ def apply_slh(program: Program, site: ViolationSite,
         ops.append((m, "and", (r, mask_reg)))
         mapping[r] = m
 
+    from ..ctcomp.passes import _first_unreferenced_point
     instrs: Dict[int, Instruction] = dict(program.items())
     next_free = _first_unreferenced_point(instrs)
     points = [load_pp] + list(range(next_free, next_free + len(ops) - 1))

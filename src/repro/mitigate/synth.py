@@ -47,7 +47,6 @@ from ..core.machine import Machine
 from ..core.observations import secret_observations
 from ..core.program import Program
 from ..core.sequential import run_sequential
-from ..ctcomp.passes import count_fences, insert_fences
 from ..pitchfork import AnalysisReport, ExplorationOptions, analyze
 from ..pitchfork.explorer import resolve_options
 from .localize import LocalizeStats, ViolationSite, localize_all
@@ -57,6 +56,10 @@ from .passes import (AppliedMitigation, MitigationError, apply_fence,
 #: Statuses a repair can end in.
 REPAIR_STATUSES = ("already-secure", "repaired", "sequential-residual",
                    "gave-up")
+
+#: Per-site mitigation policies: speculation barriers only, index
+#: masking with fences as fallback, or whichever each site admits.
+REPAIR_POLICIES = ("fence", "slh", "auto")
 
 
 @dataclass(frozen=True)
@@ -152,15 +155,15 @@ class SynthesisOptions:
     """Knobs of the repair loop (the verifier's knobs are an
     :class:`~repro.pitchfork.ExplorationOptions` beside it)."""
 
-    policy: str = "auto"            #: "fence" | "slh" | "auto"
+    policy: str = "auto"            #: one of :data:`REPAIR_POLICIES`
     max_rounds: int = 16
     shrink: bool = True
     #: Retire budget for the sequential baseline/overhead runs.
     max_retires: int = 20_000
 
     def __post_init__(self):
-        if self.policy not in ("fence", "slh", "auto"):
-            raise ValueError(f"policy must be fence|slh|auto, "
+        if self.policy not in REPAIR_POLICIES:
+            raise ValueError(f"policy must be {'|'.join(REPAIR_POLICIES)}, "
                              f"got {self.policy!r}")
         if self.max_rounds <= 0:
             raise ValueError("max_rounds must be positive")
@@ -365,6 +368,9 @@ class MitigationSynthesizer:
             repaired_steps = len(result.schedule)
 
         live = tuple(steps)
+        # Imported here so that importing repro.api (which reads
+        # REPAIR_POLICIES) does not load the ctcomp compiler.
+        from ..ctcomp.passes import count_fences, insert_fences
         return RepairResult(
             name=self.name, status=status, program=current,
             original=self.original, steps=live, final_report=report,

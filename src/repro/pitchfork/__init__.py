@@ -10,22 +10,12 @@ from .explorer import (ExplorationOptions, ExplorationResult, Explorer,
                        PathResult, Violation)
 from .reports import (format_report, format_violation, observation_set,
                       violation_key, violation_set)
-from .schedules import (ScheduleStats, enumerate_schedule_tree,
-                        enumerate_schedules, schedule_stats)
-from .symex import (App, Constraint, ReplayStats, Sym, SymbolicEvaluator,
-                    SymbolicFinding, SymbolicResult, SymbolicRunner,
-                    analyze_symbolic, analyze_symbolic_result, eval_expr,
-                    feasible_values, solve, symbols_of)
+from .schedules import ScheduleStats, enumerate_schedules, schedule_stats
 
 __all__ = [
     "AnalysisReport", "analyze", "ExplorationOptions", "ExplorationResult",
     "Explorer", "PathResult", "Violation",
     "format_report", "format_violation", "ScheduleStats",
-    "enumerate_schedule_tree",
-    "enumerate_schedules", "schedule_stats", "App", "Constraint",
-    "ReplayStats", "Sym", "SymbolicEvaluator", "SymbolicFinding",
-    "SymbolicResult", "SymbolicRunner", "analyze_symbolic",
-    "analyze_symbolic_result", "eval_expr", "feasible_values",
-    "observation_set", "solve", "symbols_of", "violation_key",
-    "violation_set",
+    "enumerate_schedules", "schedule_stats",
+    "observation_set", "violation_key", "violation_set",
 ]

@@ -42,9 +42,7 @@ violations, so a fork is O(1) and two sibling arms share their entire
 common history — nothing is re-executed or copied when the scheduler
 forks.  The engine also caches trial steps: Definition B.18's "is this
 directive enabled here?" probes and the subsequent commit of the chosen
-arm evaluate each machine rule once, not twice.  The DFS fork structure
-itself is preserved for downstream consumers (prefix-shared symbolic
-replay) by :func:`repro.pitchfork.schedules.enumerate_schedule_tree`.
+arm evaluate each machine rule once, not twice.
 
 Partial-order reduction
 -----------------------
@@ -124,9 +122,9 @@ class ExplorationOptions:
     The one declaration of every exploration knob, its default and its
     check.  :class:`repro.api.AnalysisOptions` extends this record with
     the analysis-only sections; every layer below it (``analyze``, the
-    :mod:`~repro.pitchfork.schedules` entry points, the symbolic back
-    end, the repair loop) takes the record itself, and reads a field
-    of a wider record by its name.
+    :mod:`~repro.pitchfork.schedules` entry points, the repair loop)
+    takes the record itself, and reads a field of a wider record by
+    its name.
     """
 
     bound: int = 20            #: speculation bound = max reorder-buffer size
@@ -413,16 +411,9 @@ class Explorer:
     """
 
     def __init__(self, machine: Machine, options: ExplorationOptions,
-                 clock: Optional[Callable[[], float]] = None, *,
-                 assume_unknown_branches: bool = False):
+                 clock: Optional[Callable[[], float]] = None):
         self.machine = machine
         self.options = options
-        #: Treat every branch condition as statically unknown: both arms
-        #: are fetched and resolution is always delayed to the window's
-        #: end.  This makes the generated schedules input-independent —
-        #: the mode the symbolic back end (repro.pitchfork.symex) needs,
-        #: since the "correct" arm varies with the symbolic inputs.
-        self.assume_unknown_branches = assume_unknown_branches
         self.engine: ExecutionEngine = ExecutionEngine(machine)
         #: Monotonic clock for budget deadlines and first-violation
         #: wall times; injectable so anytime behaviour is testable with
@@ -943,8 +934,6 @@ class Explorer:
                             self._can(config, Execute(i, "addr")):
                         return [[Execute(i, "addr")], [_Defer(i)]]
             elif kind is TBr:
-                if self.assume_unknown_branches:
-                    continue  # all branches delayed in symbolic mode
                 if i in mispredicted:
                     continue
                 # Resolve immediately only when the guess was correct
@@ -1105,8 +1094,6 @@ class Explorer:
         if instr is None:
             return []
         if isinstance(instr, Br):
-            if self.assume_unknown_branches:
-                return [[Fetch(True)], [Fetch(False)]]
             correct = self._correct_arm(config, instr)
             if correct is None:
                 return [[Fetch(True)], [Fetch(False)]]

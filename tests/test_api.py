@@ -123,12 +123,13 @@ class TestProject:
 
 
 class TestRegistry:
-    def test_all_eight_registered(self):
+    def test_all_seven_registered(self):
         assert set(available_analyses()) == {
             "pitchfork", "two-phase", "sct", "cache-attack", "metatheory",
-            "symbolic", "repair", "sps"}
+            "repair", "sps"}
 
     def test_aliases_and_unknown(self):
+        assert get_analysis("symbolic").name == "pitchfork"
         assert get_analysis("two_phase").name == "two-phase"
         assert get_analysis("cache").name == "cache-attack"
         assert get_analysis("mitigate").name == "repair"

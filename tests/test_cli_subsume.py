@@ -2,11 +2,11 @@
 
 Pins the flag's reach (analyze, litmus, repair), its interaction with
 the ``--check`` exit-code contract (0 clean / 1 violation / 2 coverage
-/ 3 usage), the symbolic back end's explicit refusal
-(``subsume_ignored``), and — the cache-compatibility bar — that adding
-the knob did not invalidate any existing ``ResultStore`` key: a
-defaulted ``subsume=False`` is omitted from the canonical options, so
-pre-PR reports stay addressable.
+/ 3 usage), its reach through the ``symbolic`` alias, and — the
+cache-compatibility bar — that adding the knob did not invalidate any
+existing ``ResultStore`` key: a defaulted ``subsume=False`` is omitted
+from the canonical options, so reports stored before the knob existed
+stay addressable.
 """
 
 import json
@@ -63,12 +63,15 @@ class TestAnalyzeFlag:
     def test_usage_error_exits_3(self, capsys):
         assert main(["analyze", "no_such_case_xyz", "--subsume"]) == 3
 
-    def test_symbolic_ignores_flag(self, capsys):
+    def test_symbolic_alias_honours_flag(self, capsys):
+        """``-a symbolic`` runs pitchfork, which acts on the knob."""
         code = main(["analyze", "kocher_01", "-a", "symbolic",
                      "--subsume", "--json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 1
-        assert data["details"]["subsume_ignored"] is True
+        assert data["analysis"] == "pitchfork"
+        assert data["details"]["subsume"] is True
+        assert "subsume_ignored" not in data["details"]
 
     def test_repair_accepts_flag(self, capsys):
         assert main(["repair", "kocher_01", "--subsume", "--json"]) == 0

@@ -11,7 +11,7 @@ from repro.core import (Config, Machine, Memory, PUBLIC, Region, SECRET,
 from repro.core.directives import Execute, Fetch, Retire
 from repro.core.errors import StuckError
 from repro.engine import (EMPTY_LOG, EngineStats, ExecutionEngine, Log,
-                          MachineState, ScheduleTree)
+                          MachineState)
 
 
 class TestLog:
@@ -145,48 +145,9 @@ class TestExecutionEngine:
         assert engine.stats.cache_hits == 0
         assert engine.stats.steps == 2
 
-    def test_impure_evaluator_disables_cache(self):
-        from repro.pitchfork import SymbolicEvaluator
-        machine = Machine(assemble("%ra = op mov, 1\nhalt"),
-                          evaluator=SymbolicEvaluator())
-        engine = ExecutionEngine(machine)
-        cfg = Config.initial({}, Memory(), 1)
-        cfg1, _ = engine.step(cfg, Fetch(None))
-        engine.can(cfg1, Execute(1))
-        engine.step(cfg1, Execute(1))
-        assert engine.stats.cache_hits == 0
-
     def test_stats_snapshot_and_avoided(self):
         stats = EngineStats(steps=10, cache_hits=2, stuck_hits=1, reused=4)
         snap = stats.snapshot()
         assert snap == stats and snap is not stats
         assert stats.avoided == 7
 
-
-class TestScheduleTree:
-    def test_trie_shape_and_payloads(self):
-        s1 = (Fetch(True), Execute(1), Retire())
-        s2 = (Fetch(True), Execute(1), Execute(2))
-        s3 = (Fetch(False),)
-        tree = ScheduleTree.from_paths(
-            [(s1, "p1"), (s2, "p2"), (s3, "p3")])
-        assert tree.schedules == (s1, s2, s3)
-        assert tree.payloads == ("p1", "p2", "p3")
-        assert len(tree) == 3
-        assert tree.naive_steps() == 7
-        assert tree.edges() == 5  # two steps shared by s1/s2
-        assert tree.shared_steps() == 2
-        assert tree.root.leaves == 3
-
-    def test_duplicate_schedules_keep_their_slots(self):
-        s = (Fetch(None),)
-        tree = ScheduleTree.from_paths([(s, "a"), (s, "b")])
-        node = tree.root.children[Fetch(None)]
-        assert node.leaf_indices == [0, 1]
-
-    def test_prefix_schedule_marks_internal_node(self):
-        tree = ScheduleTree.from_paths(
-            [((Fetch(None), Retire()), "long"), ((Fetch(None),), "short")])
-        inner = tree.root.children[Fetch(None)]
-        assert inner.leaf_indices == [1]
-        assert inner.children[Retire()].leaf_indices == [0]

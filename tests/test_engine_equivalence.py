@@ -177,14 +177,9 @@ class ReferenceExplorer(Explorer):
 # ---------------------------------------------------------------------------
 
 def _assert_identical(machine: Machine, config: Config,
-                      options: ExplorationOptions, label: str,
-                      assume_unknown_branches: bool = False) -> None:
-    got = Explorer(machine, options,
-                   assume_unknown_branches=assume_unknown_branches
-                   ).explore(config)
-    want = ReferenceExplorer(machine, options,
-                             assume_unknown_branches=assume_unknown_branches
-                             ).explore(config)
+                      options: ExplorationOptions, label: str) -> None:
+    got = Explorer(machine, options).explore(config)
+    want = ReferenceExplorer(machine, options).explore(config)
     assert got.paths_explored == want.paths_explored, label
     assert got.truncated == want.truncated, label
     assert got.states_stepped == want.states_stepped, label
@@ -214,8 +209,7 @@ class TestRandomizedEquivalence:
             bound=rng.choice((4, 6, 8)),
             fwd_hazards=bool(seed % 2),
             max_paths=4000)
-        _assert_identical(machine, config, options, label=f"seed={seed}",
-                          assume_unknown_branches=(seed % 5 == 0))
+        _assert_identical(machine, config, options, label=f"seed={seed}")
 
     @pytest.mark.parametrize("seed", range(6))
     def test_tight_budgets_truncate_identically(self, seed):

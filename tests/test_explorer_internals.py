@@ -11,8 +11,7 @@ from repro.core.directives import Execute, Fetch, Retire
 from repro.core.transient import TBr
 from repro.engine import MachineState
 from repro.litmus import find_case
-from repro.pitchfork import (ExplorationOptions, Explorer, analyze,
-                             enumerate_schedules)
+from repro.pitchfork import ExplorationOptions, Explorer, analyze
 from repro.verify.generators import random_config, random_program
 
 
@@ -91,43 +90,6 @@ class TestForwardingArms:
             if p.complete:
                 assert p.final.reg("ra").val == 1
                 assert p.final.mem.read(0x40).val == 1
-
-
-class TestUnknownBranchMode:
-    def test_schedule_prefixes_are_input_independent(self):
-        """Up to each branch resolution the schedules cannot depend on
-        register values (the tails differ: rollback-pruning ends
-        mispredicted probes, and which guess *is* mispredicted depends
-        on the input — the symbolic replay tolerates stuck tails)."""
-        m = _machine("br ltu, %ra, 4 -> 2, 3\n%rb = op mov, 1\nhalt")
-        lo = Config.initial({"ra": 1}, Memory(), 1)
-        hi = Config.initial({"ra": 9}, Memory(), 1)
-
-        def prefixes(config):
-            out = set()
-            for s in enumerate_schedules(m, config, bound=8,
-                                         assume_unknown_branches=True):
-                cut = next((k for k, d in enumerate(s)
-                            if d == Execute(1)), len(s) - 1)
-                out.add(s[:cut + 1])
-            return out
-
-        assert prefixes(lo) == prefixes(hi)
-
-    def test_both_arms_delayed(self):
-        """In unknown-branch mode no branch resolves before the window
-        demands it, regardless of correctness."""
-        m = _machine("br ltu, %ra, 4 -> 2, 3\n%rb = op mov, 1\nhalt")
-        c = Config.initial({"ra": 1}, Memory(), 1)
-        for schedule in enumerate_schedules(m, c, bound=8,
-                                            assume_unknown_branches=True):
-            fetches = [k for k, d in enumerate(schedule)
-                       if isinstance(d, Fetch)]
-            executes_br = [k for k, d in enumerate(schedule)
-                           if d == Execute(1)]
-            if executes_br and len(fetches) > 1:
-                # the branch resolves only after all fetching is done
-                assert executes_br[0] > fetches[-1]
 
 
 class TestExtensions:

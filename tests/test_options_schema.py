@@ -27,9 +27,8 @@ _SCHEMA = {
     "max_paths": 20_000, "max_steps": 40_000, "stop_at_first": True,
     "strategy": "dfs", "prune": "sleepset", "subsume": False,
     "budget_seconds": None, "mcts_c": 0.5, "mcts_playout": 8,
-    "telemetry": False, "seed": 0,
-    "max_schedules": 512, "max_worlds": 256, "bound_no_fwd": 250,
-    "bound_fwd": 20, "sct_bound": 8, "sct_max_schedules": 2_000,
+    "telemetry": False, "seed": 0, "bound_no_fwd": 250, "bound_fwd": 20,
+    "sct_bound": 8, "sct_max_schedules": 2_000,
     "policy": "auto", "max_repair_rounds": 16, "shrink": True,
     "experiments": 8,
 }
@@ -64,9 +63,7 @@ class TestSingleSource:
 
     def test_entry_points_take_the_record(self):
         for fn in (pitchfork.analyze, pitchfork.enumerate_schedules,
-                   pitchfork.enumerate_schedule_tree,
-                   pitchfork.schedule_stats,
-                   pitchfork.analyze_symbolic_result):
+                   pitchfork.schedule_stats):
             params = inspect.signature(fn).parameters
             assert "options" in params, fn.__name__
             assert not set(params) & {"bound", "fwd_hazards", "strategy",
@@ -113,7 +110,7 @@ def explored(monkeypatch):
 
 
 class TestTheRecordReachesTheExplorer:
-    @pytest.mark.parametrize("analysis", ["repair", "symbolic",
+    @pytest.mark.parametrize("analysis", ["repair", "two-phase",
                                           "pitchfork"])
     def test_mcts_knobs_are_passed_through(self, analysis, explored):
         Project.from_litmus("kocher_01").run(
@@ -135,15 +132,44 @@ class TestTheRecordReachesTheExplorer:
             assert not options.subsume and options.budget_seconds is None
 
     def test_defaults_report_nothing_ignored(self):
-        for analysis in ("sps", "sct", "symbolic", "repair"):
+        for analysis in ("sps", "sct", "repair"):
             report = Project.from_litmus("kocher_01").run(analysis)
             assert not [k for k in report.details
                         if k.endswith("_ignored")], analysis
+        # The case's own bound and caps are exploration knobs too, which
+        # metatheory cannot act on: only default options report nothing.
+        report = Project.from_litmus(
+            "kocher_01", options=AnalysisOptions()).run("metatheory")
+        assert not [k for k in report.details if k.endswith("_ignored")]
+
+    def test_metatheory_reports_the_search_knobs_it_ignores(self):
+        report = Project.from_litmus("kocher_01").run(
+            "metatheory", strategy="random", seed=3)
+        assert report.details["strategy_ignored"] == "random"
+        assert report.details["seed"] == 3
+        assert "seed_ignored" not in report.details
+        assert "rsb_policy_ignored" not in report.details
+
+    def test_metatheory_machine_follows_the_run_rsb_policy(self,
+                                                          monkeypatch):
+        built = []
+        real = analyses.Machine
+
+        def capture(program, *args, **kwargs):
+            machine = real(program, *args, **kwargs)
+            built.append(machine.rsb_policy)
+            return machine
+
+        monkeypatch.setattr(analyses, "Machine", capture)
+        Project.from_litmus("ret2spec_fig12").run("metatheory",
+                                                  rsb_policy="refuse",
+                                                  experiments=1)
+        assert built == ["refuse"]
 
     @pytest.mark.parametrize("case", ["aliasing_fig2", "ret2spec_fig12",
                                       "v2_fig11"])
-    @pytest.mark.parametrize("analysis", ["symbolic", "sct"])
-    def test_extension_knobs_reach_symbolic_and_sct(self, analysis, case):
+    @pytest.mark.parametrize("analysis", ["sps", "sct"])
+    def test_extension_knobs_reach_sps_and_sct(self, analysis, case):
         """These cases leak only under the aliasing / jmpi-target /
         RSB-target knobs their project sets; an analysis that dropped
         the knobs on the way to the explorer reported them secure."""

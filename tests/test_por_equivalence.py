@@ -217,20 +217,16 @@ class TestStrictReduction:
 class TestDownstreamConsumers:
     """Pruned schedule trees decide the same questions downstream."""
 
-    def test_symbolic_findings_invariant(self):
-        from repro.litmus import find_case
-        from repro.pitchfork import analyze_symbolic_result
-        case = find_case("kocher_01")
-        base = None
-        for level in LEVELS:
-            result = analyze_symbolic_result(
-                case.program, case.make_config(), bound=12,
-                fwd_hazards=True, prune=level)
-            obs = sorted({repr(f.observation) for f in result.findings})
-            if base is None:
-                base = obs
-            assert obs == base, level
-            assert not result.truncated
+    def test_two_phase_classification_invariant(self):
+        from repro.api import Project
+        for name, expected in (("kocher_01", "v1"), ("v4_fig7", "f"),
+                               ("v1_fig8_fence", "clean")):
+            project = Project.from_litmus(name)
+            for level in LEVELS:
+                report = project.run("two-phase", prune=level,
+                                     bound_no_fwd=20, bound_fwd=12)
+                assert report.status == expected, (name, level)
+                assert not report.truncated, (name, level)
 
     def test_sct_verdict_invariant(self):
         from repro.api import Project

@@ -187,14 +187,13 @@ class TestDownstreamConsumers:
         assert report.subsumption["enabled"] is False
         assert report.subsumption["states_subsumed"] == 0
 
-    def test_symbolic_ignores_subsume(self):
-        """Concrete-state subsumption is unsound for symbolic replay
-        (equal concrete configs may carry different path constraints),
-        so the symbolic analysis ignores the knob and says so."""
+    def test_sps_ignores_subsume(self):
+        """The speculation-passing check has no schedule search to
+        prune, so it ignores the knob and says so."""
         from repro.api import Project
         project = Project.from_litmus("kocher_01")
-        plain = project.run("symbolic")
-        subs = project.run("symbolic", subsume=True)
+        plain = project.run("sps")
+        subs = project.run("sps", subsume=True)
         assert subs.details.get("subsume_ignored") is True
         assert plain.status == subs.status
         assert plain.violations == subs.violations
