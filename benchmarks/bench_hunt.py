@@ -48,7 +48,7 @@ from pathlib import Path
 BOUND = 20
 MAX_PATHS = 20_000
 MAX_STEPS = 200_000
-STRATEGIES = ("dfs", "coverage", "mcts")
+STRATEGIES = ("dfs", "mcts")
 OUT = Path(__file__).resolve().parent.parent / "BENCH_hunt.json"
 
 

@@ -194,9 +194,6 @@ class PitchforkAnalysis(Analysis):
                    "prune": options.prune, "subsume": options.subsume}
         if options.strategy == "random":
             details["seed"] = options.seed
-        if options.strategy == "mcts":
-            details["mcts_c"] = options.mcts_c
-            details["mcts_playout"] = options.mcts_playout
         if options.budget_seconds is not None:
             details["budget_seconds"] = options.budget_seconds
         return from_analysis_report(report, project.name, self.name,

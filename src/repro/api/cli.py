@@ -129,13 +129,6 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
                              "coverage stats; a budget-truncated run is "
                              "never reported as clean coverage "
                              "(--check exit 2)")
-    parser.add_argument("--mcts-c", type=float, metavar="C",
-                        help="--strategy mcts: UCT exploration constant "
-                             "(default: 0.5)")
-    parser.add_argument("--mcts-playout", type=int, metavar="DEPTH",
-                        help="--strategy mcts: static-playout lookahead "
-                             "depth for the tainted-load prior "
-                             "(default: 8)")
 
 
 def _preset_options(args) -> Optional[AnalysisOptions]:
@@ -175,7 +168,6 @@ def _resolve_target(target: str, args) -> Project:
         for variant in study.variants():
             if variant.name == target:
                 return Project.from_variant(variant, options=options)
-    from ..litmus import find_case
     try:
         return Project.from_litmus(target, options=options)
     except KeyError:

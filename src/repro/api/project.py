@@ -200,10 +200,9 @@ class Project:
         return self._config if self._config is not None \
             else self._make_config()
 
-    def machine(self, evaluator=None) -> Machine:
+    def machine(self) -> Machine:
         """A machine for this target honouring the RSB policy option."""
-        return Machine(self.program, evaluator=evaluator,
-                       rsb_policy=self.options.rsb_policy)
+        return Machine(self.program, rsb_policy=self.options.rsb_policy)
 
     @property
     def analyses(self):

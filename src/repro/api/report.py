@@ -62,6 +62,20 @@ CLEAN_STATUSES = frozenset({"secure", "clean", "ok", "already-secure",
 #: reports is ignored on load.
 SCHEMA_VERSION = 8
 
+#: The optional report sections, in serialisation order.  Each is a
+#: mapping or None; :func:`_section` copies it on every way in and out.
+_SECTIONS = ("mitigation", "pruning", "subsumption", "anytime",
+             "first_violation", "telemetry", "cross_check")
+
+
+def _section(value) -> Optional[Dict[str, Any]]:
+    """A section as a plain dict, or None.  Engine stats records
+    (``PruningStats``, ``SubsumptionStats``, ``AnytimeStats``) convert
+    through their own ``to_dict``."""
+    if value is None:
+        return None
+    return value.to_dict() if hasattr(value, "to_dict") else dict(value)
+
 
 @dataclass(frozen=True)
 class PhaseReport:
@@ -214,7 +228,7 @@ class Report:
     # -- serialisation -------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        out = {
             "schema_version": SCHEMA_VERSION,
             "target": self.target,
             "analysis": self.analysis,
@@ -229,23 +243,11 @@ class Report:
             "vacuous": self.vacuous,
             "wall_time": self.wall_time,
             "phases": [p.to_dict() for p in self.phases],
-            "mitigation": (dict(self.mitigation)
-                           if self.mitigation is not None else None),
-            "pruning": (dict(self.pruning)
-                        if self.pruning is not None else None),
-            "subsumption": (dict(self.subsumption)
-                            if self.subsumption is not None else None),
-            "anytime": (dict(self.anytime)
-                        if self.anytime is not None else None),
-            "first_violation": (dict(self.first_violation)
-                                if self.first_violation is not None
-                                else None),
-            "telemetry": (dict(self.telemetry)
-                          if self.telemetry is not None else None),
-            "cross_check": (dict(self.cross_check)
-                            if self.cross_check is not None else None),
-            "details": dict(self.details),
         }
+        for name in _SECTIONS:
+            out[name] = _section(getattr(self, name))
+        out["details"] = dict(self.details)
+        return out
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -274,22 +276,8 @@ class Report:
             wall_time=data.get("wall_time", 0.0),
             phases=tuple(PhaseReport.from_dict(p)
                          for p in data.get("phases", ())),
-            mitigation=(dict(data["mitigation"])
-                        if data.get("mitigation") is not None else None),
-            pruning=(dict(data["pruning"])
-                     if data.get("pruning") is not None else None),
-            subsumption=(dict(data["subsumption"])
-                         if data.get("subsumption") is not None else None),
-            anytime=(dict(data["anytime"])
-                     if data.get("anytime") is not None else None),
-            first_violation=(dict(data["first_violation"])
-                             if data.get("first_violation") is not None
-                             else None),
-            telemetry=(dict(data["telemetry"])
-                       if data.get("telemetry") is not None else None),
-            cross_check=(dict(data["cross_check"])
-                         if data.get("cross_check") is not None else None),
             details=dict(data.get("details", {})),
+            **{name: _section(data.get(name)) for name in _SECTIONS},
         )
 
     @classmethod
@@ -418,18 +406,6 @@ def from_analysis_report(report, target: str, analysis: str,
         truncated=report.truncated,
         wall_time=wall_time,
         phases=phases,
-        pruning=(getattr(report, "pruning", None).to_dict()
-                 if getattr(report, "pruning", None) is not None else None),
-        subsumption=(getattr(report, "subsumption", None).to_dict()
-                     if getattr(report, "subsumption", None) is not None
-                     else None),
-        anytime=(getattr(report, "anytime", None).to_dict()
-                 if getattr(report, "anytime", None) is not None else None),
-        first_violation=(dict(report.first_violation)
-                         if getattr(report, "first_violation", None)
-                         is not None else None),
-        telemetry=(dict(report.telemetry)
-                   if getattr(report, "telemetry", None) is not None
-                   else None),
         details=dict(details or {}),
+        **{name: _section(getattr(report, name, None)) for name in _SECTIONS},
     )

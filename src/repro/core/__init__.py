@@ -19,9 +19,8 @@ from .directives import (Directive, Execute, Fetch, FETCH, RETIRE, Retire,
 from .errors import (AssemblerError, CompileError, IllFormedProgramError,
                      ReproError, StuckError)
 from .executor import RunResult, StepRecord, drain, is_well_formed, run
-from .isa import (Br, Call, ConcreteEvaluator, Evaluator, Fence, Instruction,
-                  Jmpi, Load, Op, OPCODES, Ret, Store, WORD_BITS, sum_addr,
-                  x86_addr)
+from .isa import (Br, Call, Fence, Instruction, Jmpi, Load, Op, OPCODES, Ret,
+                  Store, WORD_BITS, sum_addr)
 from .lattice import (Label, Lattice, PUBLIC, SECRET, TWO_POINT, get_lattice,
                       join_all)
 from .machine import Machine, RSP, RTMP

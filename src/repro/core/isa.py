@@ -5,9 +5,8 @@ This module defines the left-hand column of the paper's Table 1 — the
 evaluation function ``J·K`` for opcodes and the abstract address
 calculation operator ``addr`` (Section 3.4, "Address calculation").
 
-The machine is parametric in evaluation: it calls into an
-:class:`Evaluator`, whose default :class:`ConcreteEvaluator` computes over
-Python ints.
+Evaluation is concrete: :func:`evaluate`, :func:`address`, :func:`truth`
+and :func:`concretize` compute over Python ints.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import ReproError
-from .lattice import Label, PUBLIC
 from .values import Operand, Operands, Reg, Value, join_labels
 
 
@@ -207,77 +205,42 @@ def sum_addr(vals: Sequence[int]) -> int:
     return _wrap(sum(vals))
 
 
-def x86_addr(vals: Sequence[int]) -> int:
-    """x86-style addressing ``v1 + v2·v3`` (with shorter forms allowed)."""
-    if len(vals) == 3:
-        return _wrap(vals[0] + vals[1] * vals[2])
-    return sum_addr(vals)
-
-
 # ---------------------------------------------------------------------------
-# Evaluators
+# Evaluation (``J·K``, ``addr``)
 # ---------------------------------------------------------------------------
+#
+# Each function works on *labelled values* and propagates labels (the join
+# of the operand labels, per the semantics).  They are functions of their
+# arguments alone, so one machine step is a function of
+# ``(configuration, directive)`` — the property the execution engine's
+# step cache relies on (Theorem B.1).
 
-class Evaluator:
-    """Evaluation strategy for opcodes, addresses and branch conditions.
-
-    The machine uses exactly four entry points; each works on *labelled
-    values* and is responsible for propagating labels (join of the
-    operand labels, per the semantics).
-
-    The entry points must be functions of their arguments alone (no
-    hidden mutable state), so one machine step is a function of
-    ``(configuration, directive)`` — the property the execution
-    engine's step cache relies on (Theorem B.1).
-    """
-
-    def evaluate(self, opcode: str, vals: Sequence[Value]) -> Value:
-        """Apply ``J opcode K`` to resolved operand values."""
-        raise NotImplementedError
-
-    def address(self, vals: Sequence[Value]) -> Value:
-        """Apply ``J addr K`` to resolved operand values."""
-        raise NotImplementedError
-
-    def truth(self, value: Value) -> bool:
-        """Interpret a value as a branch condition."""
-        raise NotImplementedError
-
-    def concretize(self, value: Value) -> int:
-        """Extract a concrete machine address from a value (the
-        concrete evaluator just checks for an int)."""
-        raise NotImplementedError
+def concretize(value: Value) -> int:
+    """The machine int a value carries (a concrete address, operand or
+    condition); a non-integer payload is an error."""
+    if not isinstance(value.val, int):
+        raise ReproError(
+            f"concrete evaluation got non-integer payload {value.val!r}")
+    return value.val
 
 
-class ConcreteEvaluator(Evaluator):
-    """Evaluates over Python ints; the default for the machine."""
+def evaluate(opcode: str, vals: Sequence[Value]) -> Value:
+    """Apply ``J opcode K`` to resolved operand values."""
+    if opcode not in OPCODES:
+        raise ReproError(f"unknown opcode {opcode!r}")
+    arity, fn = OPCODES[opcode]
+    if arity is not None and len(vals) != arity:
+        raise ReproError(
+            f"opcode {opcode!r} expects {arity} operands, got {len(vals)}")
+    payloads = [concretize(v) for v in vals]
+    return Value(fn(*payloads), join_labels(vals))
 
-    def __init__(self, addr_mode: Callable[[Sequence[int]], int] = sum_addr):
-        self.addr_mode = addr_mode
 
-    def evaluate(self, opcode: str, vals: Sequence[Value]) -> Value:
-        if opcode not in OPCODES:
-            raise ReproError(f"unknown opcode {opcode!r}")
-        arity, fn = OPCODES[opcode]
-        if arity is not None and len(vals) != arity:
-            raise ReproError(
-                f"opcode {opcode!r} expects {arity} operands, got {len(vals)}")
-        payloads = [self._int(v) for v in vals]
-        return Value(fn(*payloads), join_labels(vals))
+def address(vals: Sequence[Value]) -> Value:
+    """Apply ``J addr K`` (:func:`sum_addr`) to resolved operand values."""
+    return Value(sum_addr([concretize(v) for v in vals]), join_labels(vals))
 
-    def address(self, vals: Sequence[Value]) -> Value:
-        payloads = [self._int(v) for v in vals]
-        return Value(self.addr_mode(payloads), join_labels(vals))
 
-    def truth(self, value: Value) -> bool:
-        return bool(self._int(value))
-
-    def concretize(self, value: Value) -> int:
-        return self._int(value)
-
-    @staticmethod
-    def _int(value: Value) -> int:
-        if not isinstance(value.val, int):
-            raise ReproError(
-                f"concrete evaluator got non-integer payload {value.val!r}")
-        return value.val
+def truth(value: Value) -> bool:
+    """Interpret a value as a branch condition."""
+    return bool(concretize(value))

@@ -42,8 +42,8 @@ from typing import Iterable, List, Optional, Tuple, Union
 from .config import Config
 from .directives import Directive, Execute, Fetch, Retire
 from .errors import StuckError
-from .isa import (Br, Call, ConcreteEvaluator, Evaluator, Fence, Instruction,
-                  Jmpi, Load, Op, Ret, Store, next_of)
+from .isa import (Br, Call, Fence, Instruction, Jmpi, Load, Op, Ret, Store,
+                  address, concretize, evaluate, next_of, truth)
 from .lattice import Label
 from .observations import (Fwd, Jump, Observation, Read, Rollback, StepLeakage,
                            Write)
@@ -68,8 +68,6 @@ class Machine:
     ----------
     program:
         The program memory µ (instruction half).
-    evaluator:
-        Evaluation strategy (defaults to concrete ints).
     rsb_policy:
         Behaviour of ``ret`` fetched with an empty RSB:
         ``"directive"`` (attacker supplies the target — Intel BTB
@@ -77,13 +75,10 @@ class Machine:
         (replay a stale slot — most Intel).  See Appendix A.2.
     """
 
-    def __init__(self, program: Program,
-                 evaluator: Optional[Evaluator] = None,
-                 rsb_policy: str = "directive"):
+    def __init__(self, program: Program, rsb_policy: str = "directive"):
         if rsb_policy not in ("directive", "refuse", "circular"):
             raise ValueError(f"unknown rsb_policy {rsb_policy!r}")
         self.program = program
-        self.evaluator = evaluator or ConcreteEvaluator()
         self.rsb_policy = rsb_policy
 
     # ------------------------------------------------------------------
@@ -275,7 +270,7 @@ class Machine:
                  instr: TOp) -> Tuple[Config, StepLeakage]:
         """Resolve an arithmetic op to a value instruction (Table 1)."""
         vals = self._resolve_all(config, i, instr.args)
-        result = self.evaluator.evaluate(instr.opcode, vals)
+        result = evaluate(instr.opcode, vals)
         buf = config.buf.set(i, TValue(instr.dest, result))
         return config.with_(buf=buf), ()
 
@@ -284,8 +279,8 @@ class Machine:
     def _exec_br(self, config: Config, i: int,
                  instr: TBr) -> Tuple[Config, StepLeakage]:
         vals = self._resolve_all(config, i, instr.args)
-        cond = self.evaluator.evaluate(instr.opcode, vals)
-        taken = self.evaluator.truth(cond)
+        cond = evaluate(instr.opcode, vals)
+        taken = truth(cond)
         target = instr.targets[0] if taken else instr.targets[1]
         label = cond.label
         if target == instr.guess:
@@ -304,8 +299,8 @@ class Machine:
     def _exec_jmpi(self, config: Config, i: int,
                    instr: TJmpi) -> Tuple[Config, StepLeakage]:
         vals = self._resolve_all(config, i, instr.args)
-        addr = self.evaluator.address(vals)
-        target = self.evaluator.concretize(addr)
+        addr = address(vals)
+        target = concretize(addr)
         label = addr.label
         if target == instr.guess:
             # jmpi-execute-correct
@@ -324,7 +319,6 @@ class Machine:
                          addr: int) -> List[int]:
         """Indices j < below of stores with a resolved address equal to
         ``addr`` (the pattern ``buf(j) = store(_, a)``)."""
-        concretize = self.evaluator.concretize
         out = []
         for j, instr in buf.items():
             if j >= below:
@@ -338,8 +332,8 @@ class Machine:
                          instr: TLoad) -> Tuple[Config, StepLeakage]:
         """load-execute-nodep / load-execute-forward."""
         vals = self._resolve_all(config, i, instr.args)
-        addr_v = self.evaluator.address(vals)
-        a = self.evaluator.concretize(addr_v)
+        addr_v = address(vals)
+        a = concretize(addr_v)
         label = addr_v.label
         matching = self._matching_stores(config.buf, i, a)
         if not matching:
@@ -387,15 +381,15 @@ class Machine:
         assert instr.pred is not None
         value, j = instr.pred
         vals = self._resolve_all(config, i, instr.args)
-        addr_v = self.evaluator.address(vals)
-        a = self.evaluator.concretize(addr_v)
+        addr_v = address(vals)
+        a = concretize(addr_v)
         label = addr_v.label
 
         if j in config.buf:
             store = config.buf[j]
             assert isinstance(store, TStore)
             store_addr_ok = (not store.addr_resolved()
-                             or self.evaluator.concretize(store.addr) == a)
+                             or concretize(store.addr) == a)
             intervening = [k for k in self._matching_stores(config.buf, i, a)
                            if j < k]
             if store_addr_ok and not intervening:
@@ -467,8 +461,8 @@ class Machine:
         if instr.addr_resolved():
             raise StuckError(f"store at {i} already has a resolved address")
         vals = self._resolve_all(config, i, instr.args)
-        addr_v = self.evaluator.address(vals)
-        a = self.evaluator.concretize(addr_v)
+        addr_v = address(vals)
+        a = concretize(addr_v)
         label = addr_v.label
         resolved = Value(a, label)
 
@@ -522,7 +516,7 @@ class Machine:
             if not instr.fully_resolved():
                 raise StuckError(f"store at {i} is not fully resolved")
             assert isinstance(instr.src, Value) and instr.addr is not None
-            a = self.evaluator.concretize(instr.addr)
+            a = concretize(instr.addr)
             mem = config.mem.write(a, instr.src)
             leak = (Write(a, instr.addr.label),)
             return config.with_(mem=mem, buf=config.buf.remove_min()), leak
@@ -554,7 +548,7 @@ class Machine:
         assert isinstance(store.src, Value) and store.addr is not None
         regs = dict(config.regs)
         regs[RSP] = bump.value
-        a = self.evaluator.concretize(store.addr)
+        a = concretize(store.addr)
         mem = config.mem.write(a, store.src)
         leak = (Write(a, store.addr.label),)
         return config.with_(regs=regs, mem=mem,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .lattice import Label, PUBLIC, SECRET
+from .lattice import Label, PUBLIC
 from .values import Value
 
 #: Delta entries tolerated before an overlay is folded into its base.

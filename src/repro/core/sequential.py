@@ -27,7 +27,8 @@ from .config import Config
 from .directives import Directive, Execute, Fetch, Retire
 from .errors import StuckError
 from .executor import RunResult, StepRecord
-from .isa import Br, Call, Fence, Instruction, Jmpi, Load, Op, Ret, Store
+from .isa import (Br, Call, Fence, Instruction, Jmpi, Load, Op, Ret, Store,
+                  address, concretize, evaluate, truth)
 from .machine import Machine, RSP
 from .observations import Observation
 from .rob import resolve_operands
@@ -45,22 +46,22 @@ def _predict(machine: Machine, config: Config) -> Fetch:
                                 config.regs, instr.args)
         if vals is None:
             raise StuckError("sequential fetch with unresolved condition")
-        cond = machine.evaluator.evaluate(instr.opcode, vals)
-        return Fetch(machine.evaluator.truth(cond))
+        cond = evaluate(instr.opcode, vals)
+        return Fetch(truth(cond))
     if isinstance(instr, Jmpi):
         vals = resolve_operands(config.buf, config.buf.max_index() + 1,
                                 config.regs, instr.args)
         if vals is None:
             raise StuckError("sequential fetch with unresolved jump target")
-        addr = machine.evaluator.address(vals)
-        return Fetch(machine.evaluator.concretize(addr))
+        addr = address(vals)
+        return Fetch(concretize(addr))
     if isinstance(instr, Ret):
         if config.rsb.top() is BOTTOM and machine.rsb_policy == "directive":
             # Predict the actual return address: the top of the stack.
             rsp = config.regs[RSP]
-            addr = machine.evaluator.concretize(rsp)
+            addr = concretize(rsp)
             target = config.mem.read(addr)
-            return Fetch(machine.evaluator.concretize(target))
+            return Fetch(concretize(target))
         return Fetch(None)
     return Fetch(None)
 

@@ -2,8 +2,8 @@
 
 The machine computes over *labelled values* ``v_ℓ`` (Section 3,
 "Values and labels"): a payload together with a security label.  The
-payload is a Python ``int``; the machine only reads it through its
-:class:`~repro.core.isa.Evaluator`.
+payload is a Python ``int``; the machine only reads it through the
+evaluation functions of :mod:`repro.core.isa`.
 
 Instruction operands (the paper's ``r⃗v``) are either register names
 (:class:`Reg`) or immediate labelled values (:class:`Value`).

@@ -13,8 +13,8 @@ The supporting structures make forking free:
 * :class:`MachineState` — one exploration arm: configuration + logs +
   budgets, forked in O(1);
 * :class:`Frontier` — the pending-work set, with the visit order as a
-  pluggable :func:`make_frontier` strategy (``dfs``/``bfs``/``random``/
-  ``coverage``/``mcts``); the explorer pushes fork arms into one
+  pluggable :func:`make_frontier` strategy (``dfs``/``random``/
+  ``mcts``); the explorer pushes fork arms into one
   instead of hardcoding a stack, and may feed path outcomes back
   through the ``reward`` hook;
 * :class:`MCTSFrontier` — best-first violation hunting: a UCT bandit
@@ -36,24 +36,21 @@ rationale.
 """
 
 from .core import EngineStats, ExecutionEngine
-from .frontier import (BreadthFirstFrontier, CoverageFrontier,
-                       DepthFirstFrontier, Frontier, RandomFrontier,
+from .frontier import (DepthFirstFrontier, Frontier, RandomFrontier,
                        available_strategies, make_frontier,
                        register_strategy, strategy_descriptions)
 from .journal import EMPTY_LOG, Log
-from .mcts import MCTSFrontier, validate_mcts
+from .mcts import MCTSFrontier
 from .por import (PRUNE_LEVELS, Footprint, PruningStats, footprint,
                   hazard_load, independent, validate_prune)
 from .state import MachineState
 from .subsume import SeenStates, SubsumptionStats, validate_subsume
 
 __all__ = [
-    "BreadthFirstFrontier", "CoverageFrontier", "DepthFirstFrontier",
-    "EngineStats", "ExecutionEngine", "EMPTY_LOG", "Footprint", "Frontier",
+    "DepthFirstFrontier", "EngineStats", "ExecutionEngine", "EMPTY_LOG", "Footprint", "Frontier",
     "Log", "MCTSFrontier", "MachineState", "PRUNE_LEVELS", "PruningStats",
     "RandomFrontier", "SeenStates", "SubsumptionStats",
     "available_strategies", "footprint", "hazard_load",
     "independent", "make_frontier", "register_strategy",
-    "strategy_descriptions", "validate_mcts", "validate_prune",
-    "validate_subsume",
+    "strategy_descriptions", "validate_prune", "validate_subsume",
 ]

@@ -2,7 +2,7 @@
 
 :class:`ExecutionEngine` wraps a :class:`~repro.core.machine.Machine`
 and is a drop-in replacement for it wherever a driver only needs
-``step``/``enabled_directives``/``program``/``evaluator`` — the
+``step``/``enabled_directives``/``program``/``rsb_policy`` — the
 Explorer, the sequential runner, the SCT two-trace product and the
 metatheory checks all accept either.  On top of the raw
 small-step relation it adds:
@@ -13,7 +13,7 @@ small-step relation it adds:
   shared prefix instead of being re-executed;
 * **a trial-step cache**: schedulers like Definition B.18 trial-step a
   directive to ask "is this enabled here?" and then immediately commit
-  the same step.  Configurations are immutable and evaluators keep no
+  the same step.  Configurations are immutable and evaluation keeps no
   hidden state, so the step relation is a function of
   ``(configuration, directive)`` (Theorem B.1, determinism); the engine
   remembers the trial's successor and hands it back on commit instead
@@ -32,8 +32,8 @@ successor object, so their downstream states compare by pointer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 from ..core.config import Config
 from ..core.directives import Directive, Execute
@@ -111,10 +111,6 @@ class ExecutionEngine:
     @property
     def program(self):
         return self.machine.program
-
-    @property
-    def evaluator(self):
-        return self.machine.evaluator
 
     @property
     def rsb_policy(self) -> str:

@@ -10,19 +10,10 @@ state from, with the ordering policy supplied by name:
 
 ``dfs``
     LIFO — the seed behaviour, byte-identical path enumeration order.
-``bfs``
-    FIFO — breadth-first over fork levels; surfaces shallow violations
-    before deep speculation chains.
 ``random``
     Uniform random pops from a seeded RNG — deterministic for a fixed
     ``seed``, decorrelated from program structure (the classic fuzzing
     baseline).
-``coverage``
-    Coverage-guided: states whose next fetch PC has been popped least
-    often come first (a min-heap on the visit count at push time, FIFO
-    among ties).  This is the MCTS-lite flavour of Legion/AFL-style
-    schedulers: it pours effort into unvisited program regions first
-    instead of exhausting one subtree's speculation interleavings.
 ``mcts``
     Best-first violation hunting: full UCT bandit over the fork trie,
     re-ranked on every pop, with playout priors and back-propagated
@@ -33,29 +24,25 @@ Every strategy explores the *same* set when run to completion — only
 the order (and therefore which paths survive a ``max_paths`` cap, and
 how fast ``stop_at_first`` fires) changes.  The frontier is generic
 over items: the Pitchfork explorer pushes
-:class:`~repro.engine.state.MachineState` values.  Strategies that rank
-by program location receive a ``pc_of`` callable mapping an item to its current
-fetch PC.
+:class:`~repro.engine.state.MachineState` values.  Every strategy is
+built with the same arguments: a ``seed``, a ``pc_of`` callable mapping
+an item to its current fetch PC, and the ``program`` being explored;
+the ranking strategy (``mcts``) reads the last two, the fixed orderings
+ignore them.
 
 Drivers may report path outcomes back through :meth:`Frontier.reward`;
 ordering strategies that learn from outcomes (``mcts``) use it, the
-rest inherit the no-op.  Strategy-specific constructor knobs are
-declared in the class's ``knobs`` tuple and forwarded by
-:func:`make_frontier` only when the caller supplies them, so generic
-drivers need no per-strategy code.
+rest inherit the no-op.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
-from collections import deque
-from typing import (Any, Callable, Dict, Iterable, List, Optional, Tuple,
-                    Type)
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
-__all__ = ["Frontier", "DepthFirstFrontier", "BreadthFirstFrontier",
-           "RandomFrontier", "CoverageFrontier", "available_strategies",
-           "make_frontier", "register_strategy", "strategy_descriptions"]
+__all__ = ["Frontier", "DepthFirstFrontier", "RandomFrontier",
+           "available_strategies", "make_frontier", "register_strategy",
+           "strategy_descriptions"]
 
 
 class Frontier:
@@ -70,8 +57,6 @@ class Frontier:
     strategy: str = ""
     #: One-line summary shown by ``repro list``.
     description: str = ""
-    #: Extra constructor kwargs :func:`make_frontier` may forward.
-    knobs: Tuple[str, ...] = ()
     #: Why the most recent :meth:`pop` chose its item, as a small dict
     #: of scores — ``None`` for fixed orderings.  Ranking strategies
     #: (``mcts``) fill it; a tracing driver attaches it to the pop's
@@ -79,9 +64,11 @@ class Frontier:
     last_pop_info: Optional[Dict[str, float]] = None
 
     def __init__(self, seed: int = 0,
-                 pc_of: Optional[Callable[[Any], Optional[int]]] = None):
+                 pc_of: Optional[Callable[[Any], Optional[int]]] = None,
+                 program=None):
         self.seed = seed
         self.pc_of = pc_of
+        self.program = program
 
     def push(self, item: Any) -> None:
         raise NotImplementedError
@@ -116,8 +103,8 @@ class DepthFirstFrontier(Frontier):
     description = ("depth-first (LIFO) — the default; exhausts one "
                    "speculation subtree before the next")
 
-    def __init__(self, seed: int = 0, pc_of=None):
-        super().__init__(seed, pc_of)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._items: List[Any] = []
 
     def push(self, item: Any) -> None:
@@ -130,27 +117,6 @@ class DepthFirstFrontier(Frontier):
         return len(self._items)
 
 
-class BreadthFirstFrontier(Frontier):
-    """FIFO — explore fork levels in generation order."""
-
-    strategy = "bfs"
-    description = ("breadth-first (FIFO) — surfaces shallow violations "
-                   "before deep speculation chains")
-
-    def __init__(self, seed: int = 0, pc_of=None):
-        super().__init__(seed, pc_of)
-        self._items: deque = deque()
-
-    def push(self, item: Any) -> None:
-        self._items.append(item)
-
-    def pop(self) -> Any:
-        return self._items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 class RandomFrontier(Frontier):
     """Seeded uniform random pops (swap-with-last removal, O(1))."""
 
@@ -158,9 +124,9 @@ class RandomFrontier(Frontier):
     description = ("seeded uniform-random pops — deterministic per "
                    "--seed, decorrelated from program structure")
 
-    def __init__(self, seed: int = 0, pc_of=None):
-        super().__init__(seed, pc_of)
-        self._rng = random.Random(seed)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._rng = random.Random(self.seed)
         self._items: List[Any] = []
 
     def push(self, item: Any) -> None:
@@ -178,54 +144,9 @@ class RandomFrontier(Frontier):
         return len(self._items)
 
 
-class CoverageFrontier(Frontier):
-    """Prioritize arms whose fetch PC has been visited least.
-
-    The score of an item is the number of times its PC (via ``pc_of``)
-    had already been *popped* when the item was pushed; a min-heap pops
-    the lowest score first, FIFO among ties.  Scores are not re-ranked
-    after insertion — the one-shot ranking is the cheap MCTS-lite
-    approximation, not a full bandit — but every pop feeds the visit
-    counts, so arms pushed later are steered away from saturated PCs.
-    Items without a PC (``pc_of`` absent or returning None) score 0.
-    """
-
-    strategy = "coverage"
-    description = ("coverage-guided min-heap — least-visited fetch PC "
-                   "first, ranked once at push time")
-
-    def __init__(self, seed: int = 0, pc_of=None):
-        super().__init__(seed, pc_of)
-        self._heap: List[Tuple[int, int, Any]] = []
-        self._seq = 0
-        self._visits: Dict[int, int] = {}
-
-    def _pc(self, item: Any) -> Optional[int]:
-        return self.pc_of(item) if self.pc_of is not None else None
-
-    def push(self, item: Any) -> None:
-        pc = self._pc(item)
-        score = self._visits.get(pc, 0) if pc is not None else 0
-        heapq.heappush(self._heap, (score, self._seq, item))
-        self._seq += 1
-
-    def pop(self) -> Any:
-        if not self._heap:
-            raise IndexError("pop from empty frontier")
-        _score, _seq, item = heapq.heappop(self._heap)
-        pc = self._pc(item)
-        if pc is not None:
-            self._visits[pc] = self._visits.get(pc, 0) + 1
-        return item
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-
 _STRATEGIES: Dict[str, Type[Frontier]] = {
     cls.strategy: cls
-    for cls in (DepthFirstFrontier, BreadthFirstFrontier, RandomFrontier,
-                CoverageFrontier)
+    for cls in (DepthFirstFrontier, RandomFrontier)
 }
 
 
@@ -256,20 +177,12 @@ def strategy_descriptions() -> Dict[str, str]:
 
 def make_frontier(strategy: str = "dfs", seed: int = 0,
                   pc_of: Optional[Callable[[Any], Optional[int]]] = None,
-                  **extras: Any) -> Frontier:
-    """Instantiate a frontier by strategy name.
-
-    ``extras`` are strategy-specific knobs (``program``, ``exploration``,
-    ``playout_depth`` for ``mcts``); each is forwarded only when the
-    class declares it in ``knobs`` and the value is not None, so callers
-    can pass the full knob set unconditionally.
-    """
+                  program=None) -> Frontier:
+    """Instantiate a frontier by strategy name."""
     try:
         cls = _STRATEGIES[strategy]
     except KeyError:
         raise ValueError(f"unknown search strategy {strategy!r}; "
                          f"available: {list(available_strategies())}") \
             from None
-    kwargs = {name: value for name, value in extras.items()
-              if name in cls.knobs and value is not None}
-    return cls(seed=seed, pc_of=pc_of, **kwargs)
+    return cls(seed=seed, pc_of=pc_of, program=program)

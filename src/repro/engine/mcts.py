@@ -31,9 +31,8 @@ already available in the engine:
   deeper into a speculation window, where secret-dependent transient
   observations live;
 * **novelty** — ``1 / (1 + visits(pc))`` of the arm's fetch-PC
-  footprint, so saturated program regions decay (the same signal
-  :class:`~repro.engine.frontier.CoverageFrontier` ranks by, here just
-  one term of the score and re-ranked on every pop).
+  footprint, so saturated program regions decay (one term of the
+  score, re-ranked on every pop).
 
 Completed-path outcomes arrive through the :meth:`Frontier.reward`
 feedback hook — the first strategy to use it.  A violation credits
@@ -62,8 +61,7 @@ from ..core.isa import Br, Call, Fence, Load, Op, Store
 from ..core.transient import TBr, TJmpi, TLoad, TStore, TValue
 from .frontier import Frontier, register_strategy
 
-__all__ = ["MCTSFrontier", "DEFAULT_EXPLORATION", "DEFAULT_PLAYOUT_DEPTH",
-           "validate_mcts"]
+__all__ = ["MCTSFrontier", "DEFAULT_EXPLORATION", "DEFAULT_PLAYOUT_DEPTH"]
 
 #: Default UCT exploration constant.  Hunting wants exploitation of the
 #: playout priors; the classic sqrt(2) over-explores on trees this
@@ -74,19 +72,6 @@ DEFAULT_EXPLORATION = 0.5
 #: Default static-playout depth: how many successor instructions the
 #: tainted-load proximity signal looks ahead from an arm's fetch PC.
 DEFAULT_PLAYOUT_DEPTH = 8
-
-
-def validate_mcts(exploration: float, playout_depth: int) -> None:
-    """Validate the mcts strategy knobs (shared by every options type)."""
-    if not isinstance(exploration, (int, float)) or \
-            isinstance(exploration, bool) or \
-            not math.isfinite(exploration) or exploration < 0:
-        raise ValueError(f"mcts_c (exploration constant) must be a "
-                         f"finite non-negative number, got {exploration!r}")
-    if not isinstance(playout_depth, int) or isinstance(playout_depth, bool) \
-            or playout_depth < 0:
-        raise ValueError(f"mcts_playout (playout depth) must be a "
-                         f"non-negative int, got {playout_depth!r}")
 
 
 def _successors(instr) -> tuple:
@@ -145,18 +130,14 @@ class MCTSFrontier(Frontier):
     description = ("best-first violation hunting: UCT bandit over the "
                    "fork trie, priors from pending tainted "
                    "transmitters, tainted-load proximity, speculation "
-                   "depth and PC novelty (knobs: --mcts-c, "
-                   "--mcts-playout)")
-    knobs = ("program", "exploration", "playout_depth")
+                   "depth and PC novelty")
 
     def __init__(self, seed: int = 0,
                  pc_of: Optional[Callable[[Any], Optional[int]]] = None,
                  program=None,
                  exploration: float = DEFAULT_EXPLORATION,
                  playout_depth: int = DEFAULT_PLAYOUT_DEPTH):
-        super().__init__(seed, pc_of)
-        validate_mcts(exploration, playout_depth)
-        self.program = program      #: for the static playout (optional)
+        super().__init__(seed, pc_of, program)
         self.exploration = exploration
         self.playout_depth = playout_depth
         self._root = _Node(None, 0.0, -1, None)

@@ -72,7 +72,7 @@ from typing import FrozenSet, Optional, Set, Tuple
 from ..core.config import Config
 from ..core.directives import Directive, Execute, Fetch, Retire
 from ..core.errors import ReproError
-from ..core.isa import Call, Ret
+from ..core.isa import Call, Ret, address, concretize, evaluate, truth
 from ..core.rob import resolve_operands
 from ..core.transient import (TBr, TCallMarker, TFence, TJmpi, TJump, TLoad,
                               TOp, TRetMarker, TStore, TValue)
@@ -156,8 +156,7 @@ def _operand_sources(config: Config, i: int, args) -> Optional[Set[Token]]:
     return tokens
 
 
-def _eventual_address(evaluator, config: Config, i: int,
-                      args) -> Optional[int]:
+def eventual_address(config: Config, i: int, args) -> Optional[int]:
     """The concrete address entry ``i``'s operands resolve to now."""
     try:
         vals = resolve_operands(config.buf, i, config.regs, args)
@@ -166,7 +165,7 @@ def _eventual_address(evaluator, config: Config, i: int,
     if vals is None:
         return None
     try:
-        return evaluator.concretize(evaluator.address(vals))
+        return concretize(address(vals))
     except ReproError:
         return None
 
@@ -184,7 +183,6 @@ def footprint(machine, config: Config, d: Directive) -> Optional[Footprint]:
     hazard always conflicts.  A mispredicting branch/jmpi execution
     writes the pc and every younger buffer index (the squash).
     """
-    evaluator = machine.evaluator
     buf = config.buf
     if isinstance(d, Fetch):
         reads: Set[Token] = {("pc",)}
@@ -209,7 +207,7 @@ def footprint(machine, config: Config, d: Directive) -> Optional[Footprint]:
             if entry.addr is None:
                 return None
             try:
-                writes.add(("mem", evaluator.concretize(entry.addr)))
+                writes.add(("mem", concretize(entry.addr)))
             except ReproError:
                 return None
         elif isinstance(entry, TFence):
@@ -228,7 +226,7 @@ def footprint(machine, config: Config, d: Directive) -> Optional[Footprint]:
                     if member.addr is None:
                         return None
                     try:
-                        writes.add(("mem", evaluator.concretize(member.addr)))
+                        writes.add(("mem", concretize(member.addr)))
                     except ReproError:
                         return None
         elif not isinstance(entry, TJump):
@@ -256,7 +254,7 @@ def footprint(machine, config: Config, d: Directive) -> Optional[Footprint]:
 
     if isinstance(entry, TStore) and d.part == "addr":
         sources = _operand_sources(config, i, entry.args)
-        addr = _eventual_address(evaluator, config, i, entry.args)
+        addr = eventual_address(config, i, entry.args)
         if sources is None or addr is None:
             return None
         # Writing the cell token makes this conflict with every load of
@@ -268,7 +266,7 @@ def footprint(machine, config: Config, d: Directive) -> Optional[Footprint]:
         return Footprint(frozenset(sources), frozenset(writes))
 
     if isinstance(entry, TLoad):
-        addr = _eventual_address(evaluator, config, i, entry.args)
+        addr = eventual_address(config, i, entry.args)
         sources = _operand_sources(config, i, entry.args)
         if sources is None or addr is None:
             return None
@@ -300,11 +298,11 @@ def footprint(machine, config: Config, d: Directive) -> Optional[Footprint]:
         if vals is not None:
             try:
                 if isinstance(entry, TBr):
-                    cond = evaluator.evaluate(entry.opcode, vals)
-                    taken = evaluator.truth(cond)
+                    cond = evaluate(entry.opcode, vals)
+                    taken = truth(cond)
                     target = entry.targets[0] if taken else entry.targets[1]
                 else:
-                    target = evaluator.concretize(evaluator.address(vals))
+                    target = concretize(address(vals))
                 mispredicted = target != entry.guess
             except ReproError:
                 mispredicted = True

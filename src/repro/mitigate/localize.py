@@ -41,7 +41,7 @@ from ..core.config import Config
 from ..core.directives import Directive, Execute, Fetch, Retire, Schedule
 from ..core.errors import ReproError
 from ..core.isa import (Br, Call, Fence, Instruction, Jmpi, Load, Op, Ret,
-                        Store)
+                        Store, address, concretize, evaluate, truth)
 from ..core.machine import Machine
 from ..core.rob import resolve_operands
 from ..core.transient import TBr, TJmpi, TStore, TValue
@@ -144,7 +144,7 @@ def replay_attribution(machine: Machine, config: Config,
     return configs, index_pp
 
 
-def _branch_mispredicted(machine: Machine, config: Config, j: int,
+def _branch_mispredicted(config: Config, j: int,
                          entry: TBr) -> Optional[bool]:
     """Did the in-flight branch guess wrong?  None when its operands are
     still unresolved (treated as "possibly mispredicted" by callers —
@@ -157,15 +157,15 @@ def _branch_mispredicted(machine: Machine, config: Config, j: int,
     if vals is None:
         return None
     try:
-        cond = machine.evaluator.evaluate(entry.opcode, vals)
-        taken = machine.evaluator.truth(cond)
+        cond = evaluate(entry.opcode, vals)
+        taken = truth(cond)
     except ReproError:
         return None
     actual = entry.targets[0] if taken else entry.targets[1]
     return actual != entry.guess
 
 
-def _jmpi_mispredicted(machine: Machine, config: Config, j: int,
+def _jmpi_mispredicted(config: Config, j: int,
                        entry: TJmpi) -> Optional[bool]:
     try:
         vals = resolve_operands(config.buf, j, config.regs, entry.args)
@@ -174,8 +174,8 @@ def _jmpi_mispredicted(machine: Machine, config: Config, j: int,
     if vals is None:
         return None
     try:
-        addr = machine.evaluator.address(vals)
-        return machine.evaluator.concretize(addr) != entry.guess
+        addr = address(vals)
+        return concretize(addr) != entry.guess
     except ReproError:
         return None
 
@@ -265,12 +265,12 @@ def _site(machine: Machine, pre: Config, index_pp: Dict[int, int],
             # load (the hazard rules roll back to it).
             taint_pp = entry.pp if entry.pp is not None else index_pp.get(j)
         if isinstance(entry, TBr):
-            wrong = _branch_mispredicted(machine, pre, j, entry)
+            wrong = _branch_mispredicted(pre, j, entry)
             if wrong is None or wrong:
                 branch_pp = index_pp.get(j, branch_pp)
                 branch_taken = entry.guess == entry.targets[0]
         elif isinstance(entry, TJmpi):
-            wrong = _jmpi_mispredicted(machine, pre, j, entry)
+            wrong = _jmpi_mispredicted(pre, j, entry)
             if wrong is None or wrong:
                 jmpi_pp = index_pp.get(j, jmpi_pp)
         elif isinstance(entry, TStore) and not entry.addr_resolved():

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Tuple
 
 from ..core.config import Config
-from ..core.isa import Evaluator
 from ..core.machine import Machine
 from ..core.program import Program
 from ..engine import PruningStats, SubsumptionStats
@@ -66,7 +65,6 @@ class AnalysisReport:
 def analyze(program: Program, config: Config,
             options: Optional[ExplorationOptions] = None, *,
             name: str = "<program>",
-            evaluator: Optional[Evaluator] = None,
             clock: Optional[Callable[[], float]] = None,
             **overrides) -> AnalysisReport:
     """One Pitchfork run: explore DT(``options.bound``), flag secret
@@ -80,8 +78,7 @@ def analyze(program: Program, config: Config,
     ``clock`` injects a monotonic clock for deterministic anytime tests.
     """
     options = resolve_options(options, overrides)
-    machine = Machine(program, evaluator=evaluator,
-                      rsb_policy=options.rsb_policy)
+    machine = Machine(program, rsb_policy=options.rsb_policy)
     result = Explorer(machine, options, clock=clock).explore(
         config, stop_at_first=options.stop_at_first)
     phase = "v4" if options.fwd_hazards else "v1/v1.1"

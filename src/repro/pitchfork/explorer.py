@@ -72,13 +72,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import (Any, Callable, Dict, FrozenSet, List, Mapping, Optional,
-                    Set, Tuple, Union)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple,
+                    Union)
 
 from ..core.config import Config
 from ..core.directives import Directive, Execute, Fetch, Retire, Schedule
 from ..core.errors import ReproError, StuckError
-from ..core.isa import Br, Jmpi, Ret
+from ..core.isa import Br, Jmpi, Ret, address, concretize, evaluate, truth
 from ..core.machine import Machine, RSP
 from ..core.observations import (Observation, Rollback, Trace,
                                  is_secret_dependent)
@@ -89,9 +89,8 @@ from ..core.values import BOTTOM, Value
 from ..engine import (EngineStats, ExecutionEngine, MachineState,
                       PruningStats, SeenStates, SubsumptionStats,
                       available_strategies, make_frontier)
-from ..engine.mcts import (DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH,
-                           validate_mcts)
-from ..engine.por import drop_dead_entries, hazard_load, validate_prune
+from ..engine.por import (drop_dead_entries, eventual_address, hazard_load,
+                          validate_prune)
 from ..engine.subsume import validate_subsume
 from ..obs import SearchTelemetry, ambient_tracer, validate_telemetry
 
@@ -147,8 +146,8 @@ class ExplorationOptions:
     #: materialised schedule sets never stop early.
     stop_at_first: bool = True
     #: Search-order strategy for the frontier (see
-    #: :mod:`repro.engine.frontier`): "dfs" (the seed order), "bfs",
-    #: "random", "coverage", "mcts".  Theorem B.20 makes the explored
+    #: :mod:`repro.engine.frontier`): "dfs" (the seed order), "random",
+    #: "mcts".  Theorem B.20 makes the explored
     #: *set* order-invariant; only enumeration order (and which paths
     #: survive a cap) changes.
     strategy: str = "dfs"
@@ -170,12 +169,6 @@ class ExplorationOptions:
     #: verdict) and reports honest coverage in ``result.anytime``.
     #: None (the default) disables the deadline entirely.
     budget_seconds: Optional[float] = None
-    #: UCT exploration constant for ``strategy="mcts"`` (see
-    #: :mod:`repro.engine.mcts`); ignored by other strategies.
-    mcts_c: float = DEFAULT_EXPLORATION
-    #: Static-playout lookahead depth for ``strategy="mcts"``; ignored
-    #: by other strategies.
-    mcts_playout: int = DEFAULT_PLAYOUT_DEPTH
     #: Search telemetry (see :mod:`repro.obs.telemetry`): accumulate
     #: the per-fetch-PC pop heatmap and per-fork-level schedule
     #: histogram and attach them to the result.  Pure counters over
@@ -202,7 +195,6 @@ class ExplorationOptions:
         validate_prune(self.prune)
         validate_subsume(self.subsume)
         validate_budget(self.budget_seconds)
-        validate_mcts(self.mcts_c, self.mcts_playout)
         validate_telemetry(self.telemetry)
         # Normalise sequences so options stay hashable (cache keys).
         object.__setattr__(self, "jmpi_targets", tuple(self.jmpi_targets))
@@ -376,7 +368,7 @@ _Action = Union[Directive, _DelayJmpi, _Defer, _Sleep]
 
 
 def _state_pc(state: "MachineState") -> int:
-    """Fetch-PC ranking key for the coverage-guided frontier."""
+    """Fetch-PC key for the mcts frontier's novelty prior."""
     return state.config.pc
 
 
@@ -466,9 +458,7 @@ class Explorer:
         frontier = make_frontier(self.options.strategy,
                                  seed=self.options.seed,
                                  pc_of=_state_pc,
-                                 program=self.machine.program,
-                                 exploration=self.options.mcts_c,
-                                 playout_depth=self.options.mcts_playout)
+                                 program=self.machine.program)
         frontier.push(MachineState(initial))
         tracer = self._tracer
         telemetry = self._telemetry
@@ -826,7 +816,7 @@ class Explorer:
             if not isinstance(store, TStore) or store.addr is None:
                 return False
             try:
-                a = self.machine.evaluator.concretize(store.addr)
+                a = concretize(store.addr)
             except ReproError:
                 return False
             k = hazard_load(path.config, action.index, a)
@@ -980,7 +970,7 @@ class Explorer:
             if not self._can(config, Execute(i)):
                 return None
             return [[Execute(i)]]
-        addr = self._eventual_address(config, i, entry.args)
+        addr = eventual_address(config, i, entry.args)
         if addr is None:
             return None  # operands pending; retry after more eager work
         matching: List[Tuple[int, bool]] = []   # (index, already_resolved)
@@ -990,10 +980,10 @@ class Explorer:
             if type(other) is not TStore:
                 continue
             if other.addr is not None:
-                if self.machine.evaluator.concretize(other.addr) == addr:
+                if concretize(other.addr) == addr:
                     matching.append((j, True))
             else:
-                other_addr = self._eventual_address(config, j, other.args)
+                other_addr = eventual_address(config, j, other.args)
                 if other_addr == addr:
                     matching.append((j, False))
         full = self.options.prune == "full"
@@ -1060,22 +1050,6 @@ class Explorer:
                 return True
         return False
 
-    def _eventual_address(self, config: Config, i: int,
-                          args) -> Optional[int]:
-        """The address buffer entry ``i`` will resolve to, if its
-        operands are available now."""
-        try:
-            vals = resolve_operands(config.buf, i, config.regs, args)
-        except KeyError:
-            return None
-        if vals is None:
-            return None
-        try:
-            return self.machine.evaluator.concretize(
-                self.machine.evaluator.address(vals))
-        except ReproError:
-            return None
-
     def _can(self, config: Config, d: Execute) -> bool:
         return self.engine.can(config, d)
 
@@ -1129,8 +1103,8 @@ class Explorer:
             return None
         if vals is None:
             return None
-        cond = self.machine.evaluator.evaluate(instr.opcode, vals)
-        return self.machine.evaluator.truth(cond)
+        cond = evaluate(instr.opcode, vals)
+        return truth(cond)
 
     def _static_jmpi_target(self, config: Config,
                             instr: Jmpi) -> Optional[int]:
@@ -1141,8 +1115,8 @@ class Explorer:
             return None
         if vals is None:
             return None
-        addr = self.machine.evaluator.address(vals)
-        return self.machine.evaluator.concretize(addr)
+        addr = address(vals)
+        return concretize(addr)
 
     def _actual_return(self, config: Config) -> Optional[int]:
         i = config.buf.max_index() + 1
@@ -1152,10 +1126,10 @@ class Explorer:
             return None
         if vals is None:
             return None
-        addr = self.machine.evaluator.concretize(vals[0])
+        addr = concretize(vals[0])
         target = config.mem.read(addr)
         try:
-            return self.machine.evaluator.concretize(target)
+            return concretize(target)
         except ReproError:
             return None
 
@@ -1166,8 +1140,8 @@ class Explorer:
         vals = resolve_operands(config.buf, i, config.regs, entry.args)
         if vals is None:
             return None
-        cond = self.machine.evaluator.evaluate(entry.opcode, vals)
-        taken = self.machine.evaluator.truth(cond)
+        cond = evaluate(entry.opcode, vals)
+        taken = truth(cond)
         return entry.targets[0] if taken else entry.targets[1]
 
     def _actual_jmpi_target(self, config: Config, i: int,
@@ -1175,8 +1149,8 @@ class Explorer:
         vals = resolve_operands(config.buf, i, config.regs, entry.args)
         if vals is None:
             return None
-        addr = self.machine.evaluator.address(vals)
-        return self.machine.evaluator.concretize(addr)
+        addr = address(vals)
+        return concretize(addr)
 
     # -- the full-buffer move -------------------------------------------------
 

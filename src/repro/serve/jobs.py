@@ -110,10 +110,9 @@ def effective_options(project: Project,
     keys are computed from.
 
     Every :class:`AnalysisOptions` field is overridable, including the
-    anytime ``budget_seconds`` and the ``mcts_c``/``mcts_playout`` knobs
-    — a budgeted job caches under a distinct store key (budget is part
-    of the canonical options), so a truncated anytime result never
-    shadows a complete run of the same target."""
+    anytime ``budget_seconds`` — a budgeted job caches under a distinct
+    store key (budget is part of the canonical options), so a truncated
+    anytime result never shadows a complete run of the same target."""
     return project.options.with_(**dict(overrides))
 
 

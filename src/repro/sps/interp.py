@@ -55,8 +55,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..core.config import Config
 from ..core.directives import Directive, Execute, Fetch
 from ..core.errors import ReproError
-from ..core.isa import (Br, Call, ConcreteEvaluator, Evaluator, Fence, Jmpi,
-                        Load, Op, Ret, Store)
+from ..core.isa import (Br, Call, Fence, Jmpi, Load, Op, Ret, Store, address,
+                        concretize, evaluate, truth)
 from ..core.machine import RSP
 from ..core.memory import Memory
 from ..core.observations import (Fwd, Jump, Observation, Read, Write,
@@ -176,7 +176,7 @@ class _Interp:
                  explore_aliasing: bool, jmpi_targets: Tuple[int, ...],
                  rsb_targets: Tuple[int, ...], rsb_policy: str,
                  max_paths: int, max_fetches: int, max_steps: int,
-                 stop_at_first: bool, evaluator: Evaluator) -> None:
+                 stop_at_first: bool) -> None:
         self.program = program
         self.bound = bound
         self.fwd_hazards = fwd_hazards
@@ -188,7 +188,6 @@ class _Interp:
         self.max_fetches = max_fetches
         self.max_steps = max_steps
         self.stop_at_first = stop_at_first
-        self.ev = evaluator
         self.result = SpsResult()
         self.seen: set = set()
         self.stack: List[_State] = []
@@ -252,9 +251,9 @@ class _Interp:
         return tuple(self._operand(st, rv) for rv in rvs)
 
     def _address(self, st: _State, args) -> Tuple[int, Value]:
-        addr_v = self.ev.address(self._operands(st, args))
+        addr_v = address(self._operands(st, args))
         try:
-            return self.ev.concretize(addr_v), addr_v
+            return concretize(addr_v), addr_v
         except ReproError as exc:
             raise _Stuck(str(exc))
 
@@ -305,7 +304,7 @@ class _Interp:
     # -- instruction steps --------------------------------------------------
 
     def _step_op(self, st: _State, instr: Op) -> None:
-        value = self.ev.evaluate(instr.opcode, self._operands(st, instr.args))
+        value = evaluate(instr.opcode, self._operands(st, instr.args))
         st.regs[instr.dest] = value
         self._silent(st, Execute(st.idx))
         st.pc = instr.next
@@ -345,8 +344,8 @@ class _Interp:
         st.idx += 1
 
     def _step_br(self, st: _State, instr: Br) -> None:
-        cond = self.ev.evaluate(instr.opcode, self._operands(st, instr.args))
-        taken = self.ev.truth(cond)
+        cond = evaluate(instr.opcode, self._operands(st, instr.args))
+        taken = truth(cond)
         correct = instr.n_true if taken else instr.n_false
         mispredicted = instr.n_false if taken else instr.n_true
         branch_idx = st.idx
@@ -391,10 +390,10 @@ class _Interp:
 
     def _step_call(self, st: _State, instr: Call) -> None:
         rsp = self._operand(st, RSP)
-        new_rsp = self.ev.evaluate("succ", (rsp,))
+        new_rsp = evaluate("succ", (rsp,))
         st.regs[RSP] = new_rsp
         try:
-            addr = self.ev.concretize(new_rsp)
+            addr = concretize(new_rsp)
         except ReproError as exc:
             raise _Stuck(str(exc))
         # The expanded group is marker/op/store: three buffer slots,
@@ -421,16 +420,16 @@ class _Interp:
         else:  # "directive": attacker supplies the fetch target
             predicted = None
         rsp = self._operand(st, RSP)
-        addr_v = self.ev.address((rsp,))
+        addr_v = address((rsp,))
         try:
-            addr = self.ev.concretize(addr_v)
+            addr = concretize(addr_v)
         except ReproError as exc:
             raise _Stuck(str(exc))
         # Group footprint marker/load/op/jmpi: four slots, load second,
         # jmpi fourth.
         load_idx = st.idx + 1
         jmpi_idx = st.idx + 3
-        st.regs[RSP] = self.ev.evaluate("pred", (rsp,))
+        st.regs[RSP] = evaluate("pred", (rsp,))
         arms = self._load_arms(st, addr, addr_v, load_idx)
         correct_value, correct_obs, _, _, correct_dir = arms[0]
         for value, obs, anchor, kind, directive in arms[1:]:
@@ -458,7 +457,7 @@ class _Interp:
         """
         end = st.idx + 4
         try:
-            actual = self.ev.concretize(value)
+            actual = concretize(value)
         except ReproError:
             st.pc = None
             self.stack.append(st)
@@ -568,8 +567,7 @@ def explore_sps(program: Program, config: Config, *,
                 max_paths: int = 20_000,
                 max_fetches: int = 2_000,
                 max_steps: int = 40_000,
-                stop_at_first: bool = True,
-                evaluator: Optional[Evaluator] = None) -> SpsResult:
+                stop_at_first: bool = True) -> SpsResult:
     """Decide speculative constant time by sequential check of the
     speculation-passing product program.
 
@@ -593,8 +591,7 @@ def explore_sps(program: Program, config: Config, *,
                      max_paths=max_paths,
                      max_fetches=max_fetches,
                      max_steps=max_steps,
-                     stop_at_first=stop_at_first,
-                     evaluator=evaluator or ConcreteEvaluator())
+                     stop_at_first=stop_at_first)
     result = interp.run(config)
     result.sites = site_counts(speculation_sites(
         program, fwd_hazards=fwd_hazards, explore_aliasing=explore_aliasing,

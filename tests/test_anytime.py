@@ -9,8 +9,8 @@ boundaries only, so every test here drives the explorer with an
 *injected fake clock* and asserts exact, machine-speed-independent
 outcomes.  Also pinned: the ``EngineStats`` first-violation latch,
 schema v6 exact Report round-trips, and the
-cache-compatibility bar — defaulted budget/mcts knobs are omitted from
-canonical options, so every pre-PR ``ResultStore`` key survives.
+cache-compatibility bar — defaulted knobs are omitted from canonical
+options, so every earlier ``ResultStore`` key survives.
 """
 
 import json
@@ -231,8 +231,6 @@ class TestCLIContract:
                      "--budget-seconds", "-1"]) == 3
         assert main(["analyze", "kocher_01",
                      "--budget-seconds", "0"]) == 3
-        assert main(["analyze", "kocher_01", "--mcts-c", "-1"]) == 3
-        assert main(["analyze", "kocher_01", "--mcts-playout", "-2"]) == 3
 
     def test_truncated_never_clean(self, capsys):
         # Without --check the exit is 0 (no violation found), but the
@@ -245,8 +243,9 @@ class TestCLIContract:
 
 
 class TestStoreKeyCompatibility:
-    """Adding budget/mcts knobs must not invalidate any existing
-    ResultStore key: defaults are omitted from canonical options."""
+    """Adding or removing a defaulted knob must not invalidate any
+    existing ResultStore key: defaults are omitted from canonical
+    options."""
 
     def test_default_options_canonicalise_empty(self):
         assert canonical_options(AnalysisOptions()) == ()
@@ -277,5 +276,5 @@ class TestStoreKeyCompatibility:
             project.options.with_(budget_seconds=30.0))
         assert budgeted != base
         assert canonical_options(
-            project.options.with_(mcts_c=1.0)) != canonical_options(
+            project.options.with_(strategy="mcts")) != canonical_options(
                 project.options)

@@ -244,17 +244,28 @@ class TestCLI:
 
     def test_strategy_and_seed_flags(self, capsys):
         from repro.api.cli import main
-        code = main(["analyze", "kocher_05", "--strategy", "coverage",
+        code = main(["analyze", "kocher_05", "--strategy", "random",
                      "--seed", "3", "--json"])
         assert code == 1  # flagged by design
         data = json.loads(capsys.readouterr().out)
-        assert data["details"]["strategy"] == "coverage"
+        assert data["details"]["strategy"] == "random"
+        assert data["details"]["seed"] == 3
         assert "shard_stats" not in data
 
     def test_removed_shards_flag_is_usage_error(self, capsys):
         from repro.api.cli import main
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "kocher_01", "--shards", "2"])
+        assert exc.value.code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--strategy", "coverage"], ["--strategy", "bfs"],
+        ["--mcts-c", "2"], ["--mcts-playout", "4"]])
+    def test_removed_strategies_and_mcts_flags_are_usage_errors(
+            self, argv, capsys):
+        from repro.api.cli import main
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "kocher_01", *argv])
         assert exc.value.code == 3
 
     def test_unknown_strategy_is_clean_cli_error(self, capsys):

@@ -1,6 +1,6 @@
 """The frontier abstraction (repro.engine.frontier).
 
-Unit tests for the four search strategies' ordering contracts, plus the
+Unit tests for the three search strategies' ordering contracts, plus the
 explorer-level guarantees: every strategy enumerates the same tool-
 schedule set (Theorem B.20 makes the set order-invariant), ``dfs``
 reproduces the seed explorer's order byte for byte, and seeded
@@ -38,8 +38,7 @@ def _violation_set(result):
 
 class TestFrontierOrdering:
     def test_registry(self):
-        assert available_strategies() == (
-            "bfs", "coverage", "dfs", "mcts", "random")
+        assert available_strategies() == ("dfs", "mcts", "random")
 
     def test_unknown_strategy_raises(self):
         with pytest.raises(ValueError, match="unknown search strategy"):
@@ -49,12 +48,6 @@ class TestFrontierOrdering:
         f = make_frontier("dfs")
         f.extend([1, 2, 3])
         assert [f.pop(), f.pop(), f.pop()] == [3, 2, 1]
-
-    def test_bfs_is_fifo(self):
-        f = make_frontier("bfs")
-        f.extend([1, 2, 3])
-        f.push(4)
-        assert [f.pop() for _ in range(4)] == [1, 2, 3, 4]
 
     def test_random_is_seed_deterministic(self):
         def drain(seed):
@@ -67,26 +60,6 @@ class TestFrontierOrdering:
 
         assert drain(7) == drain(7)
         assert sorted(drain(7)) == sorted(range(15))
-
-    def test_coverage_prefers_unvisited_pcs(self):
-        f = make_frontier("coverage", pc_of=lambda item: item[0])
-        f.push((1, "a"))
-        assert f.pop() == (1, "a")      # PC 1 now has one visit
-        # An arm at the already-visited PC 1 scores 1 at push time; an
-        # arm at the unvisited PC 2 scores 0 and jumps the queue even
-        # though it was pushed later.
-        f.push((1, "b"))
-        f.push((2, "c"))
-        assert f.pop() == (2, "c")
-        assert f.pop() == (1, "b")
-
-    def test_coverage_scores_at_push_time(self):
-        f = make_frontier("coverage", pc_of=lambda item: item)
-        f.push(5)
-        assert f.pop() == 5             # visit count for PC 5 becomes 1
-        f.push(5)
-        f.push(6)
-        assert f.pop() == 6             # 6 scored 0, 5 scored 1
 
     def test_len_and_bool(self):
         for name in available_strategies():
@@ -105,8 +78,7 @@ class TestExplorerStrategies:
     CASES = ("kocher_01", "kocher_05", "kocher_13", "v1_fig1")
 
     @pytest.mark.parametrize("name", CASES)
-    @pytest.mark.parametrize("strategy", ("bfs", "random", "coverage",
-                                          "mcts"))
+    @pytest.mark.parametrize("strategy", ("random", "mcts"))
     def test_same_violation_and_path_sets_as_dfs(self, name, strategy):
         case = find_case(name)
         dfs = _explore(case, strategy="dfs")

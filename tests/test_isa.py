@@ -1,18 +1,20 @@
-"""Unit tests for physical instructions and the concrete evaluator."""
+"""Unit tests for physical instructions and concrete evaluation."""
 
 import pytest
 
 from repro.core.errors import ReproError
-from repro.core.isa import (Br, Call, ConcreteEvaluator, Fence, Jmpi, Load,
-                            Op, OPCODES, Ret, Store, WORD_BITS, next_of,
-                            sum_addr, x86_addr)
+from repro.core import isa
+from repro.core.isa import (Br, Call, Fence, Jmpi, Load, Op, OPCODES, Ret,
+                            Store, WORD_BITS, next_of, sum_addr)
 from repro.core.lattice import PUBLIC, SECRET
 from repro.core.values import Reg, Value, operands, public, secret
 
 
 @pytest.fixture()
 def ev():
-    return ConcreteEvaluator()
+    """The module's evaluation functions: ``evaluate``, ``address``,
+    ``truth`` and ``concretize``."""
+    return isa
 
 
 class TestOpcodes:
@@ -79,12 +81,6 @@ class TestAddressModes:
     def test_sum_addr(self):
         assert sum_addr([0x40, 9]) == 0x49
 
-    def test_x86_addr_three(self):
-        assert x86_addr([0x40, 2, 8]) == 0x50
-
-    def test_x86_addr_fallback(self):
-        assert x86_addr([0x40, 9]) == 0x49
-
     def test_evaluator_address_labels(self, ev):
         out = ev.address([public(0x40), secret(9)])
         assert out.val == 0x49 and out.label == SECRET
@@ -100,6 +96,28 @@ class TestEvaluatorMisc:
     def test_concretize_non_int_raises(self, ev):
         with pytest.raises(ReproError):
             ev.concretize(Value("sym", PUBLIC))
+
+
+class TestOneEvaluator:
+    """Evaluation is not pluggable: no entry point takes an evaluator."""
+
+    def test_machine_rejects_an_evaluator(self):
+        from repro.core.machine import Machine
+        from repro.litmus import find_case
+        with pytest.raises(TypeError):
+            Machine(find_case("kocher_01").program, evaluator=isa)
+
+    def test_entry_points_reject_an_evaluator(self):
+        from repro.api import Project
+        from repro.pitchfork import analyze
+        from repro.sps import explore_sps
+        project = Project.from_litmus("kocher_01")
+        with pytest.raises(TypeError):
+            project.machine(evaluator=isa)
+        with pytest.raises(TypeError):
+            analyze(project.program, project.config(), evaluator=isa)
+        with pytest.raises(TypeError):
+            explore_sps(project.program, project.config(), evaluator=isa)
 
 
 class TestInstructions:

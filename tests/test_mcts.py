@@ -1,6 +1,6 @@
 """The mcts frontier (repro.engine.mcts): UCT ordering, reward
-back-propagation, playout priors, knob validation, and run-to-completion
-equivalence with the seed DFS explorer.
+back-propagation, playout priors, its fixed UCT constants, and
+run-to-completion equivalence with the seed DFS explorer.
 
 The strict bar is the same as every other strategy's (Theorem B.20: the
 explored *set* is order-invariant): run to completion, ``mcts`` must
@@ -11,12 +11,14 @@ equivalence suites additionally pick ``mcts`` up automatically via
 module's own seeds.
 """
 
+import functools
 import random
 
 import pytest
 
 from repro.core.machine import Machine
-from repro.engine import MCTSFrontier, make_frontier, validate_mcts
+from repro.engine import MCTSFrontier, make_frontier
+from repro.engine import frontier as frontier_module
 from repro.engine.mcts import DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH
 from repro.litmus import all_cases, find_case
 from repro.pitchfork import ExplorationOptions, Explorer, violation_set
@@ -179,40 +181,34 @@ class TestPriors:
 
 
 class TestKnobValidation:
+    """The UCT constant and playout depth are fixed: no option, flag or
+    ``make_frontier`` argument sets them (the constructor keeps them as
+    a test seam)."""
+
     def test_defaults_are_valid(self):
-        validate_mcts(DEFAULT_EXPLORATION, DEFAULT_PLAYOUT_DEPTH)
-
-    @pytest.mark.parametrize("c", (-1.0, float("nan"), float("inf"), True,
-                                   "0.5"))
-    def test_bad_exploration(self, c):
-        with pytest.raises(ValueError, match="mcts_c"):
-            validate_mcts(c, DEFAULT_PLAYOUT_DEPTH)
-
-    @pytest.mark.parametrize("depth", (-1, 2.5, True, "8"))
-    def test_bad_playout(self, depth):
-        with pytest.raises(ValueError, match="mcts_playout"):
-            validate_mcts(DEFAULT_EXPLORATION, depth)
+        f = make_frontier("mcts")
+        assert f.exploration == DEFAULT_EXPLORATION
+        assert f.playout_depth == DEFAULT_PLAYOUT_DEPTH
 
     def test_make_frontier_forwards_knobs(self):
-        f = make_frontier("mcts", exploration=1.25, playout_depth=3)
-        assert f.exploration == 1.25 and f.playout_depth == 3
-        with pytest.raises(ValueError, match="mcts_playout"):
-            make_frontier("mcts", playout_depth=2.5)
+        program = find_case("kocher_01").program
+        for name in ("dfs", "mcts", "random"):
+            assert make_frontier(name, program=program).program is program
+        with pytest.raises(TypeError):
+            make_frontier("mcts", exploration=1.25)
 
     def test_other_strategies_ignore_mcts_knobs(self):
-        # make_frontier filters by cls.knobs, so the explorer can pass
-        # the mcts extras unconditionally.
-        f = make_frontier("dfs", program=None, exploration=9.0,
-                          playout_depth=1)
-        f.push(1)
-        assert f.pop() == 1
+        f = make_frontier("dfs", program=find_case("kocher_01").program,
+                          pc_of=lambda item: item)
+        f.extend([1, 2])
+        assert [f.pop(), f.pop()] == [2, 1]
 
     def test_options_validate_knobs(self):
         from repro.api import AnalysisOptions
-        with pytest.raises(ValueError, match="mcts_c"):
-            AnalysisOptions(mcts_c=-2.0)
-        with pytest.raises(ValueError, match="mcts_playout"):
-            ExplorationOptions(mcts_playout=-3)
+        with pytest.raises(TypeError, match="mcts_c"):
+            AnalysisOptions(mcts_c=2.0)
+        with pytest.raises(TypeError, match="mcts_playout"):
+            ExplorationOptions().with_(mcts_playout=3)
 
 
 class TestRegistryEquivalence:
@@ -245,11 +241,15 @@ class TestRegistryEquivalence:
                 violation_set(dfs.violations)
             assert mcts.paths_explored == dfs.paths_explored
 
-    def test_nondefault_knobs_preserve_equivalence(self):
+    def test_nondefault_knobs_preserve_equivalence(self, monkeypatch):
+        """Theorem B.20 holds for any UCT constants, not only the
+        defaults: swap tuned frontiers in through the constructor seam."""
         case = find_case("kocher_03")
         dfs = _run(case, _case_options(case, strategy="dfs"))
         for c, depth in ((0.0, 0), (2.0, 16)):
-            mcts = _run(case, _case_options(case, mcts_c=c,
-                                            mcts_playout=depth))
+            tuned = functools.partial(MCTSFrontier, exploration=c,
+                                      playout_depth=depth)
+            monkeypatch.setitem(frontier_module._STRATEGIES, "mcts", tuned)
+            mcts = _run(case, _case_options(case))
             assert violation_set(mcts.violations) == \
                 violation_set(dfs.violations)

@@ -571,4 +571,4 @@ class TestRepairCLI:
     def test_repair_accepts_pitchfork_verifier_flag(self, capsys):
         from repro.api.cli import main
         assert main(["repair", "kocher_01", "-a", "pitchfork",
-                     "--strategy", "coverage"]) == 0
+                     "--strategy", "random"]) == 0

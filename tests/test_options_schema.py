@@ -26,8 +26,7 @@ _SCHEMA = {
     "jmpi_targets": (), "rsb_targets": (), "rsb_policy": "directive",
     "max_paths": 20_000, "max_steps": 40_000, "stop_at_first": True,
     "strategy": "dfs", "prune": "sleepset", "subsume": False,
-    "budget_seconds": None, "mcts_c": 0.5, "mcts_playout": 8,
-    "telemetry": False, "seed": 0, "bound_no_fwd": 250, "bound_fwd": 20,
+    "budget_seconds": None, "telemetry": False, "seed": 0, "bound_no_fwd": 250, "bound_fwd": 20,
     "sct_bound": 8, "sct_max_schedules": 2_000,
     "policy": "auto", "max_repair_rounds": 16, "shrink": True,
     "experiments": 8,
@@ -114,11 +113,10 @@ class TestTheRecordReachesTheExplorer:
                                           "pitchfork"])
     def test_mcts_knobs_are_passed_through(self, analysis, explored):
         Project.from_litmus("kocher_01").run(
-            analysis, strategy="mcts", mcts_c=3.0, mcts_playout=2)
+            analysis, strategy="mcts", seed=4)
         assert explored
         for options in explored:
-            assert (options.strategy, options.mcts_c,
-                    options.mcts_playout) == ("mcts", 3.0, 2)
+            assert (options.strategy, options.seed) == ("mcts", 4)
 
     def test_sct_reports_the_search_knobs_it_ignores(self, explored):
         report = Project.from_litmus("kocher_01").run(

@@ -119,6 +119,22 @@ def test_removed_shards_option_is_a_clean_error(client):
     assert strip_volatile(report.to_dict()) == _direct("kocher_01", bound=7)
 
 
+def test_removed_mcts_options_are_a_clean_error(client):
+    """The UCT constant and playout depth are no longer options: a
+    submission that sets one is refused by name, and the daemon keeps
+    serving."""
+    for knob, value in (("mcts_c", 2.0), ("mcts_playout", 4)):
+        with pytest.raises(ServeError) as err:
+            client.submit({"kind": "name", "name": "kocher_01"},
+                          options={"strategy": "mcts", knob: value})
+        assert "unknown analysis options" in str(err.value)
+        assert knob in str(err.value)
+    report, _ = client.submit_and_wait(
+        {"kind": "name", "name": "kocher_01"}, options={"strategy": "mcts"})
+    assert strip_volatile(report.to_dict()) == _direct("kocher_01",
+                                                       strategy="mcts")
+
+
 def test_unknown_job_is_a_clean_error(client):
     with pytest.raises(ServeError):
         client.status("job-999999")

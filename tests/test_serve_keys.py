@@ -28,9 +28,10 @@ def test_default_options_canonicalize_empty():
 
 
 def test_non_default_fields_appear_sorted():
-    options = AnalysisOptions(max_paths=500, bound=7, strategy="bfs")
+    options = AnalysisOptions(max_paths=500, bound=7, strategy="random")
     canon = canonical_options(options)
-    assert canon == (("bound", 7), ("max_paths", 500), ("strategy", "bfs"))
+    assert canon == (("bound", 7), ("max_paths", 500),
+                     ("strategy", "random"))
 
 
 def test_field_set_back_to_default_is_omitted():
@@ -98,10 +99,10 @@ _PINNED = [
     (AnalysisOptions.table2(),
      "9926d68521ceac3b1b6de3a732aa82bd42faa37bf8666d99dd0b737378e8b75e",
      "54ed7b38994bcd6c3369e8ac07d09cbacb88e9467ae50d22a5ad6b437bf715bb"),
-    (AnalysisOptions(strategy="mcts", mcts_c=2.0, mcts_playout=4,
-                     prune="full", subsume=True, jmpi_targets=[7, 3]),
-     "7076b89b96f1a43dfb943a2fe552361e0dfa5b768893f93df544ba63dc5a4d52",
-     "7fbc17095965145a5b8bac81420baa1a4c3ff9a77bccbed51356d7937ef12d72"),
+    (AnalysisOptions(strategy="mcts", prune="full", subsume=True,
+                     jmpi_targets=[7, 3]),
+     "cafd0630446d17d8a0eb8553b71a460f1293c9661bd0b6864181c07785a3881f",
+     "5db2fa30f01b4ec3c9776db2a9e54d4877eb355c5ebc30c6ae9f89992d81e18d"),
 ]
 
 
@@ -123,7 +124,7 @@ import json, sys
 from repro.api import AnalysisOptions, Project
 from repro.serve import fingerprint_digest, options_digest, store_key
 project = Project.from_litmus("kocher_03")
-options = AnalysisOptions(bound=11, max_paths=500, strategy="bfs")
+options = AnalysisOptions(bound=11, max_paths=500, strategy="random")
 fp = fingerprint_digest(project)
 print(json.dumps({"fp": fp, "opt": options_digest(options),
                   "key": store_key("pitchfork", fp, options)}))
