@@ -38,19 +38,13 @@ OUT = Path(__file__).resolve().parent.parent / "BENCH_mitigate.json"
 def _repair_case(case, policy):
     from repro.api import AnalysisOptions
     from repro.mitigate import repair, verify_certificate
-    options = AnalysisOptions.for_case(case)
-    kwargs = dict(bound=options.bound, fwd_hazards=options.fwd_hazards,
-                  explore_aliasing=options.explore_aliasing,
-                  jmpi_targets=options.jmpi_targets,
-                  rsb_targets=options.rsb_targets,
-                  max_paths=options.max_paths)
+    options = AnalysisOptions.for_case(case, policy=policy)
     t0 = time.perf_counter()
-    result = repair(case.program, case.make_config(), name=case.name,
-                    policy=policy, rsb_policy=case.rsb_policy, **kwargs)
+    result = repair(case.program, case.make_config(), options,
+                    name=case.name)
     wall = time.perf_counter() - t0
     certified = verify_certificate(result.certificate, case.make_config(),
-                                   rsb_policy=case.rsb_policy,
-                                   original=case.program, **kwargs)
+                                   options, original=case.program)
     return result, certified, wall
 
 

@@ -90,13 +90,7 @@ def run_benchmark():
         from repro.api import AnalysisOptions
         for case in kocher:
             options = AnalysisOptions.for_case(case)
-            explore_sps(case.program, case.config(), bound=options.bound,
-                        fwd_hazards=options.fwd_hazards,
-                        explore_aliasing=options.explore_aliasing,
-                        jmpi_targets=options.jmpi_targets,
-                        rsb_targets=options.rsb_targets,
-                        rsb_policy=options.rsb_policy,
-                        max_paths=options.max_paths,
+            explore_sps(case.program, case.config(), options,
                         stop_at_first=False)
 
     record["timing"] = {"sps_kocher_sweep": measure(sps_sweep)}

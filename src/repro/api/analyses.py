@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import fields, replace
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 from ..core.machine import Machine
 from ..core.sct import check_sct
@@ -99,23 +99,25 @@ _EXPLORATION_DEFAULTS = {f.name: f.default
                          for f in fields(ExplorationOptions)}
 
 
-def _ignore_knobs(options: AnalysisOptions, knobs: Tuple[str, ...]
-                 ) -> Tuple[AnalysisOptions, Dict[str, object]]:
+def _ignore_knobs(preset: AnalysisOptions, options: AnalysisOptions,
+                  knobs: Tuple[str, ...]
+                  ) -> Tuple[AnalysisOptions, Dict[str, object]]:
     """Reset the exploration knobs an analysis cannot act on.
 
     Returns ``options`` with each of ``knobs`` back at its default, and
-    the ``*_ignored`` report details for those the caller had set:
-    ``<knob>_ignored`` (``budget_ignored`` for ``budget_seconds``)
-    holding the value asked for.  Ignored, and said so — never
-    silently dropped.
+    the ``*_ignored`` report details for those the caller set away from
+    the project's ``preset``: ``<knob>_ignored``
+    (``budget_ignored`` for ``budget_seconds``) holding the value asked
+    for.  Ignored, and said so — never silently dropped.
     """
     reset, ignored = {}, {}
     for knob in knobs:
-        value, default = getattr(options, knob), _EXPLORATION_DEFAULTS[knob]
-        if value != default:
+        value = getattr(options, knob)
+        if value != getattr(preset, knob):
             key = "budget" if knob == "budget_seconds" else knob
             ignored[f"{key}_ignored"] = value
-            reset[knob] = default
+        if value != _EXPLORATION_DEFAULTS[knob]:
+            reset[knob] = _EXPLORATION_DEFAULTS[knob]
     return (replace(options, **reset) if reset else options), ignored
 
 
@@ -131,7 +133,8 @@ class Analysis:
 
     def run(self, project: Project, **overrides) -> Report:
         options, ignored = _ignore_knobs(
-            project.options.with_(**overrides), self.ignores)
+            project.preset, project.options.with_(**overrides),
+            self.ignores)
         t0 = time.perf_counter()
         report = self._run(project, options)
         if report.wall_time == 0.0:
@@ -170,11 +173,9 @@ class AnalysisHub:
         return f"<AnalysisHub {sorted(_REGISTRY)} on {self._project.name!r}>"
 
 
-def _explore(project: Project, options: AnalysisOptions, *,
-             bound: int, fwd_hazards: bool):
+def _explore(project: Project, options: AnalysisOptions):
     """One Pitchfork run with the project's full knob set."""
-    return analyze(project.program, project.config(),
-                   options.with_(bound=bound, fwd_hazards=fwd_hazards),
+    return analyze(project.program, project.config(), options,
                    name=project.name)
 
 
@@ -188,8 +189,7 @@ class PitchforkAnalysis(Analysis):
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         t0 = time.perf_counter()
-        report = _explore(project, options, bound=options.bound,
-                          fwd_hazards=options.fwd_hazards)
+        report = _explore(project, options)
         details = {"strategy": options.strategy,
                    "prune": options.prune, "subsume": options.subsume}
         if options.strategy == "random":
@@ -224,16 +224,7 @@ class SpsAnalysis(Analysis):
         from ..pitchfork.detector import AnalysisReport
         from ..sps import explore_sps
         t0 = time.perf_counter()
-        result = explore_sps(
-            project.program, project.config(), bound=options.bound,
-            fwd_hazards=options.fwd_hazards,
-            explore_aliasing=options.explore_aliasing,
-            jmpi_targets=options.jmpi_targets,
-            rsb_targets=options.rsb_targets,
-            rsb_policy=options.rsb_policy,
-            max_paths=options.max_paths,
-            max_steps=options.max_steps,
-            stop_at_first=options.stop_at_first)
+        result = explore_sps(project.program, project.config(), options)
         details = {"speculation_sites": dict(result.sites),
                    "exhausted_paths": result.exhausted_paths}
         report = AnalysisReport(
@@ -264,8 +255,8 @@ class TwoPhaseAnalysis(Analysis):
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         t0 = time.perf_counter()
-        first = _explore(project, options, bound=options.bound_no_fwd,
-                         fwd_hazards=False)
+        first = _explore(project, options.with_(
+            bound=options.bound_no_fwd, fwd_hazards=False))
         t1 = time.perf_counter()
         phases = [PhaseReport(first.phase, first.bound, first.secure,
                               first.paths_explored, first.states_stepped,
@@ -275,8 +266,8 @@ class TwoPhaseAnalysis(Analysis):
                 first, project.name, self.name, wall_time=t1 - t0,
                 phases=tuple(phases),
                 details={"classification": "v1"}).with_(status="v1")
-        second = _explore(project, options, bound=options.bound_fwd,
-                          fwd_hazards=True)
+        second = _explore(project, options.with_(
+            bound=options.bound_fwd, fwd_hazards=True))
         t2 = time.perf_counter()
         phases.append(PhaseReport(second.phase, second.bound, second.secure,
                                   second.paths_explored,
@@ -357,8 +348,7 @@ class CacheAttackAnalysis(Analysis):
         from ..cache import Cache, CacheConfig, replay
         from ..cache.cache import addresses_touching_cache
         t0 = time.perf_counter()
-        report = _explore(project, options, bound=options.bound,
-                          fwd_hazards=options.fwd_hazards)
+        report = _explore(project, options)
         base = from_analysis_report(report, project.name, self.name,
                                     wall_time=time.perf_counter() - t0)
         if report.secure:
@@ -409,10 +399,8 @@ class RepairAnalysis(Analysis):
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         from ..mitigate import repair
         t0 = time.perf_counter()
-        result = repair(
-            project.program, project.config(), options, name=project.name,
-            policy=options.policy, max_rounds=options.max_repair_rounds,
-            shrink=options.shrink)
+        result = repair(project.program, project.config(), options,
+                        name=project.name)
         final = result.final_report
         secure = result.status in ("already-secure", "repaired")
         details = {"policy": options.policy,

@@ -40,7 +40,7 @@ from typing import Any, Dict, List, Optional
 
 from .analyses import available_aliases, available_analyses
 from .manager import AnalysisManager
-from .project import AnalysisOptions, Project
+from .project import PRESETS, AnalysisOptions, Project
 
 
 def _option_overrides(args) -> Dict:
@@ -73,7 +73,7 @@ def _warn_truncated(reports) -> None:
 
 
 def _add_preset_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--preset", choices=("paper", "table2"),
+    parser.add_argument("--preset", choices=tuple(PRESETS),
                         help="start from a named options preset")
 
 
@@ -131,15 +131,6 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
                              "(--check exit 2)")
 
 
-def _preset_options(args) -> Optional[AnalysisOptions]:
-    preset = getattr(args, "preset", None)
-    if preset == "paper":
-        return AnalysisOptions.paper()
-    if preset == "table2":
-        return AnalysisOptions.table2()
-    return None
-
-
 def _parse_regs(pairs: List[str]) -> Dict[str, int]:
     regs = {}
     for pair in pairs:
@@ -150,39 +141,14 @@ def _parse_regs(pairs: List[str]) -> Dict[str, int]:
     return regs
 
 
-def _resolve_target(target: str, args) -> Project:
-    """A litmus-case name, a case-variant name, or an asm file path."""
-    options = _preset_options(args)
-    if os.path.exists(target) or target.endswith(".s"):
-        try:
-            with open(target) as fh:
-                source = fh.read()
-        except OSError as exc:
-            raise SystemExit(f"cannot read {target!r}: {exc}")
-        return Project.from_asm(source, regs=_parse_regs(args.reg or []),
-                                pc=args.pc,
-                                name=os.path.basename(target),
-                                options=options)
-    from ..casestudies import all_case_studies
-    for study in all_case_studies():
-        for variant in study.variants():
-            if variant.name == target:
-                return Project.from_variant(variant, options=options)
-    try:
-        return Project.from_litmus(target, options=options)
-    except KeyError:
-        raise SystemExit(
-            f"unknown target {target!r}: not a file, case-study variant, "
-            f"or litmus case (try `python -m repro list`)")
-
-
 def _target_spec(target: str, args) -> Dict:
-    """The serve-layer job spec for a CLI positional target.
+    """The serve-layer job spec for a CLI positional target: a
+    litmus-case name, a case-variant name, or an asm file path.
 
     File paths are read *client-side* and shipped by value (the daemon
-    never touches this process's filesystem); names travel as-is and
-    resolve on the daemon exactly as ``_resolve_target`` resolves them
-    here.
+    never touches this process's filesystem); names travel as-is.
+    ``analyze`` and ``repair`` resolve the spec here with the daemon's
+    own :func:`~repro.serve.jobs.resolve_project`.
     """
     from ..serve import spec_for_asm, spec_for_name
     preset = getattr(args, "preset", None)
@@ -272,7 +238,8 @@ def cmd_list(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    project = _resolve_target(args.target, args)
+    from ..serve.jobs import resolve_project
+    project = resolve_project(_target_spec(args.target, args))
     overrides = _imply_telemetry(args, _option_overrides(args))
     header = {"command": "analyze", "target": args.target,
               "analysis": args.analysis}
@@ -286,10 +253,9 @@ def cmd_analyze(args) -> int:
             # first-violation mode: agreement is on the complete
             # flagged-observation sets) and attach the verdict.
             from ..sps.diff import compare
-            options = project.options.with_(
-                **{k: v for k, v in overrides.items() if v is not None})
             record = compare(project.program, project.config(),
-                             options.with_(stop_at_first=False),
+                             project.options.with_(
+                                 **dict(overrides, stop_at_first=False)),
                              name=project.name)
             report = report.with_(cross_check=record.section())
     if args.json:
@@ -408,7 +374,7 @@ def cmd_table2(args) -> int:
     from ..casestudies import all_case_studies, render_table2
     manager = AnalysisManager("two-phase", workers=args.workers)
     studies = all_case_studies()
-    options = _preset_options(args)
+    options = PRESETS[args.preset]() if args.preset else None
     t0 = time.time()
     # One batch for the whole table so --workers parallelises across
     # all eight cells, not within one row.

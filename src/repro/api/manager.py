@@ -37,14 +37,16 @@ from .report import Report
 
 
 def _run_payload(analysis_name: str, name: str, program, config,
-                 options: AnalysisOptions) -> Report:
-    """Worker entry point: rebuild the project and run the analysis.
+                 options: AnalysisOptions, overrides: Dict) -> Report:
+    """Worker entry point: rebuild the project and run the analysis
+    with the per-call ``overrides`` (which it reports when it ignores
+    them).
 
     Module-level (not a closure) so it pickles under every
     multiprocessing start method.
     """
     project = Project(program, config, name=name, options=options)
-    return get_analysis(analysis_name).run(project)
+    return get_analysis(analysis_name).run(project, **overrides)
 
 
 @dataclass
@@ -120,14 +122,12 @@ class AnalysisManager:
         run_ts = tracer.start() if tracer.enabled else 0.0
         hits_before = self._info.hits
         disk_before = self._info.disk_hits
-        payloads = []
-        for project in projects:
-            opts = (options if options is not None
-                    else project.options).with_(**overrides)
-            payloads.append((project.name, project.program,
-                             project.config(), opts))
-        keys = [self._key(project, opts)
-                for project, (_, _, _, opts) in zip(projects, payloads)]
+        payloads = [(project.name, project.program, project.config(),
+                     options if options is not None else project.options,
+                     overrides)
+                    for project in projects]
+        keys = [self._key(project, base.with_(**overrides))
+                for project, (_, _, _, base, _) in zip(projects, payloads)]
 
         results: Dict[int, Report] = {}
         pending: List[int] = []

@@ -24,8 +24,7 @@ from ..core.config import Config
 from ..core.machine import Machine
 from ..core.memory import Memory
 from ..core.program import Program
-from ..mitigate import REPAIR_POLICIES
-from ..pitchfork.explorer import ExplorationOptions
+from ..mitigate.synth import SynthesisOptions
 
 #: Default Table 2 bounds (see ``repro.casestudies.common``): the ported
 #: kernels are smaller than compiled x86, so phase 1 runs at 28 instead
@@ -40,17 +39,18 @@ PAPER_BOUND_FWD = 20
 
 
 @dataclass(frozen=True)
-class AnalysisOptions(ExplorationOptions):
+class AnalysisOptions(SynthesisOptions):
     """Every analysis knob, normalised and validated in one place.
 
     The exploration knobs (``bound``, ``fwd_hazards``, ``strategy``,
     ``prune``, the caps, ...) are inherited from
-    :class:`~repro.pitchfork.ExplorationOptions`, which declares,
-    documents and checks each of them once; the record is handed to
-    the Pitchfork layers as it is.  This class adds only what the
-    analyses beyond a single exploration read: the two-phase bounds
-    (§4.2.1), the SCT and metatheory sections and the repair loop's
-    knobs.  Constructors:
+    :class:`~repro.pitchfork.ExplorationOptions` and the repair loop's
+    (``policy``, ``max_repair_rounds``, ``shrink``) from
+    :class:`~repro.mitigate.SynthesisOptions`, which declare, document
+    and check each of them once; the record is handed to the Pitchfork
+    and repair layers as it is.  This class adds only what the other
+    analyses read: the two-phase bounds (§4.2.1) and the SCT and
+    metatheory sections.  Constructors:
 
     * :meth:`paper` — the paper's evaluation bounds (250/20);
     * :meth:`table2` — the scaled Table 2 bounds (28/20);
@@ -65,28 +65,15 @@ class AnalysisOptions(ExplorationOptions):
     sct_bound: int = 8              #: schedule-enumeration bound
     sct_max_schedules: int = 2_000
 
-    # -- mitigation synthesis (repro.mitigate) -------------------------------
-    #: Per-site mitigation policy: "fence" (speculation barriers only),
-    #: "slh" (prefer index masking, fences as fallback), or "auto".
-    policy: str = "auto"
-    #: Propose→re-verify rounds before the synthesizer gives up.
-    max_repair_rounds: int = 16
-    #: Run the delta-debugging shrink phase after security is reached.
-    shrink: bool = True
-
     # -- metatheory ----------------------------------------------------------
     experiments: int = 8            #: random schedules per metatheory run
 
     def __post_init__(self):
         super().__post_init__()
         for name in ("bound_no_fwd", "bound_fwd", "sct_bound",
-                     "sct_max_schedules", "experiments",
-                     "max_repair_rounds"):
+                     "sct_max_schedules", "experiments"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.policy not in REPAIR_POLICIES:
-            raise ValueError(f"policy must be one of {REPAIR_POLICIES}, "
-                             f"got {self.policy!r}")
 
     # -- presets -------------------------------------------------------------
 
@@ -119,6 +106,13 @@ class AnalysisOptions(ExplorationOptions):
         return cls(**kw)
 
 
+#: The named options presets (``--preset``, daemon job specs).
+PRESETS: Dict[str, Callable[[], AnalysisOptions]] = {
+    "paper": AnalysisOptions.paper,
+    "table2": AnalysisOptions.table2,
+}
+
+
 class Project:
     """A target under analysis: program + initial configuration + options.
 
@@ -138,6 +132,11 @@ class Project:
         self.program = program
         self.name = name
         self.options = options if options is not None else AnalysisOptions()
+        #: The options the project was built with (its case's knobs, the
+        #: Table 2 bounds, a named preset or the caller's ``options=``);
+        #: :meth:`with_options` keeps it.  An analysis reports a knob it
+        #: ignores only when the run's value differs from this.
+        self.preset = self.options
         #: Ground truth when known: "clean"/"v1"/"f" for Table 2 variants,
         #: or a litmus case's expected flagging.
         self.expected = expected
@@ -230,11 +229,15 @@ class Project:
         return (self.name, self.program.entry, program, self.config())
 
     def with_options(self, **kw) -> "Project":
-        """A copy of this project with updated options."""
-        return Project(self.program, self._config,
-                       make_config=self._make_config, name=self.name,
-                       options=self.options.with_(**kw),
-                       expected=self.expected, description=self.description)
+        """A copy of this project with updated options (and the same
+        :attr:`preset`)."""
+        project = Project(self.program, self._config,
+                          make_config=self._make_config, name=self.name,
+                          options=self.options.with_(**kw),
+                          expected=self.expected,
+                          description=self.description)
+        project.preset = self.preset
+        return project
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Project({self.name!r}, {len(self.program)} instrs, "

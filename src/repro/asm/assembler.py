@@ -8,12 +8,12 @@ termination.  Labels resolve to the point of the instruction they prefix.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..core.errors import AssemblerError
 from ..core.isa import Br, Call, Fence, Instruction, Jmpi, Load, Op, Ret, Store
 from ..core.program import Program
-from .parser import ParsedInstr, ParsedProgram, Target, parse
+from .parser import ParsedProgram, Target, parse
 
 
 def _resolve(target: Target, labels: Dict[str, int], line: int) -> int:

@@ -24,7 +24,7 @@ from ..core.errors import AssemblerError
 from ..core.isa import (Br, Call, Fence, Instruction, Jmpi, Load, Op, Ret,
                         Store)
 from ..core.program import Program
-from ..core.values import Operand, Reg, Value, operands
+from ..core.values import Reg, operands
 
 Target = Union[str, int]
 

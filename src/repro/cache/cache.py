@@ -10,10 +10,10 @@ folding an observation trace, and the cache-timing attackers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
-from ..core.observations import Fwd, Jump, Observation, Read, Trace, Write
+from ..core.observations import Read, Trace, Write
 
 
 @dataclass(frozen=True)
@@ -79,10 +79,6 @@ class Cache:
         ways = self._sets[self.set_of(addr)]
         if line in ways:
             ways.remove(line)
-
-    def flush_all(self) -> None:
-        for ways in self._sets:
-            ways.clear()
 
     def contents(self) -> Tuple[Tuple[int, ...], ...]:
         """Snapshot of all sets (tuples of line tags, LRU order)."""

@@ -14,9 +14,9 @@ modes come out identical in shape and clean under Pitchfork.
 from __future__ import annotations
 
 from ..core.lattice import PUBLIC, SECRET
-from ..ctcomp import (ArrayDecl, Assign, BinOp, CallStmt, Const, Func, If,
-                      Index, Module, Select, StoreStmt, UnOp, Var, VarDecl,
-                      While, compile_module)
+from ..ctcomp import (ArrayDecl, Assign, BinOp, Const, Func, Index, Module,
+                      Select, StoreStmt, UnOp, Var, VarDecl, While,
+                      compile_module)
 from .common import CaseStudy, CaseVariant
 
 LIMBS = 3

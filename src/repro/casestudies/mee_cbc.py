@@ -30,7 +30,7 @@ from ..core.lattice import PUBLIC, SECRET
 from ..core.memory import Memory, Region
 from ..core.program import Program
 from ..ctcomp import (ArrayDecl, Assign, BinOp, CallStmt, Const, Func, If,
-                      Index, Module, Select, Var, VarDecl, compile_module)
+                      Index, Module, Var, VarDecl, compile_module)
 from .common import CaseStudy, CaseVariant
 
 OUT_LEN = 8

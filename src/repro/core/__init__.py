@@ -33,7 +33,7 @@ from .program import Program
 from .rob import ReorderBuffer, resolve_operand, resolve_operands, resolve_register
 from .rsb import ReturnStackBuffer
 from .sct import (SCTCounterExample, SCTResult, check_pair, check_sct,
-                  secret_variations, single_trace_violations)
+                  secret_variations)
 from .sequential import (SequentialCT, check_sequential_ct, run_sequential)
 from .transient import (TBr, TCallMarker, TFence, TJmpi, TJump, TLoad, TOp,
                         TRetMarker, TStore, TValue, Transient)

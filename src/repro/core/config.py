@@ -16,11 +16,10 @@ Two equivalences from the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Mapping
 
 from .memory import Memory
-from .program import Program
 from .rob import ReorderBuffer
 from .rsb import ReturnStackBuffer
 from .values import Reg, Value

@@ -23,7 +23,7 @@ configuration if no step gets stuck.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 
 @dataclass(frozen=True)

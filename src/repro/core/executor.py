@@ -9,10 +9,10 @@ observation trace O and counting retire directives N.  A schedule is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .config import Config
-from .directives import Directive, Retire, Schedule
+from .directives import Directive, Fetch, Retire, Schedule
 from .errors import StuckError
 from .machine import Machine
 from .observations import Observation, StepLeakage, Trace
@@ -37,9 +37,6 @@ class RunResult:
     trace: Trace
     steps: Tuple[StepRecord, ...]
     retired: int  #: N — the number of retire directives executed
-
-    def leakage_by_step(self) -> Tuple[StepLeakage, ...]:
-        return tuple(s.leakage for s in self.steps)
 
 
 def run(machine: Machine, config: Config,
@@ -92,7 +89,6 @@ def drain(machine: Machine, config: Config,
     one (|buf| = 0).  Raises StuckError if the buffer cannot drain (e.g.
     a store whose operands will never resolve).
     """
-    from .directives import Execute, Fetch  # local to avoid cycle noise
     schedule: List[Directive] = []
     current = config
     trace: List[Observation] = []

@@ -12,7 +12,7 @@ needs ``join`` and the ``flows_to`` partial order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Tuple
 
 

@@ -37,19 +37,16 @@ Engineering notes (documented divergences, both also in DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Iterable, List, Optional, Tuple
 
 from .config import Config
 from .directives import Directive, Execute, Fetch, Retire
 from .errors import StuckError
 from .isa import (Br, Call, Fence, Instruction, Jmpi, Load, Op, Ret, Store,
                   address, concretize, evaluate, next_of, truth)
-from .lattice import Label
-from .observations import (Fwd, Jump, Observation, Read, Rollback, StepLeakage,
-                           Write)
+from .observations import Fwd, Jump, Read, Rollback, StepLeakage, Write
 from .program import Program
 from .rob import ReorderBuffer, resolve_operand, resolve_operands
-from .rsb import ReturnStackBuffer
 from .transient import (TBr, TCallMarker, TFence, TJmpi, TJump, TLoad, TOp,
                         TRetMarker, TStore, TValue, Transient)
 from .values import BOTTOM, Reg, Value

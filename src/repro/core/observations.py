@@ -31,10 +31,6 @@ from .lattice import Label, PUBLIC
 class Observation:
     """Base class of attacker-visible observations."""
 
-    def is_transient(self) -> bool:
-        """True for observations an in-flight (unretired) step produced."""
-        return False
-
 
 @dataclass(frozen=True)
 class Read(Observation):

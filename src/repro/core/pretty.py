@@ -9,10 +9,10 @@ what ``examples/spectre_zoo.py`` prints.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .config import Config
-from .executor import RunResult, StepRecord
+from .executor import RunResult
 from .observations import Observation
 
 

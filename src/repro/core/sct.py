@@ -13,23 +13,20 @@ payloads.
 For programs that are *sequentially* constant-time (all crypto code the
 paper audits), Corollary B.10 lets a single-trace criterion stand in:
 some observation carries a non-public label iff SCT fails under some
-partner.  ``single_trace_violations`` exposes that criterion — it is what
-Pitchfork flags.
+partner.  That criterion is what Pitchfork flags.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from .config import Config
 from .directives import Schedule
 from .errors import StuckError
 from .executor import run
 from .machine import Machine
-from .observations import (Observation, Trace, is_secret_dependent,
-                           secret_observations)
+from .observations import Trace
 from .values import Value
 
 
@@ -167,9 +164,3 @@ def check_sct(machine: Machine, config: Config,
             if cex is not None:
                 return SCTResult(False, cex, pairs)
     return SCTResult(True, None, pairs, vacuous=(pairs == 0))
-
-
-def single_trace_violations(trace: Trace) -> Trace:
-    """The label-based criterion Pitchfork uses (Cor. B.10): observations
-    whose label is not public."""
-    return secret_observations(trace)

@@ -33,7 +33,7 @@ from .machine import Machine, RSP
 from .observations import Observation
 from .rob import resolve_operands
 from .transient import TStore
-from .values import BOTTOM, Value
+from .values import BOTTOM
 
 
 def _predict(machine: Machine, config: Config) -> Fetch:

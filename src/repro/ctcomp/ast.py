@@ -16,8 +16,8 @@ enough to express the audited crypto kernels of §4.2 structurally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..core.lattice import Label, PUBLIC
 

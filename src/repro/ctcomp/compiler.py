@@ -15,9 +15,6 @@ two styles differ exactly where the paper's evaluation needs them to:
 
 from __future__ import annotations
 
-from typing import Optional
-
-from ..core.errors import CompileError
 from .ast import Module
 from .lower import CompiledModule, Lowerer
 from .typing import TypeReport, check_module

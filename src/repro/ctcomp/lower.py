@@ -15,7 +15,7 @@ of every branch arm (the Fig 8 mitigation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..asm.builder import ProgramBuilder
@@ -24,10 +24,9 @@ from ..core.errors import CompileError
 from ..core.lattice import PUBLIC
 from ..core.memory import Memory, Region
 from ..core.program import Program
-from ..core.values import Reg, Value
-from .ast import (ArrayDecl, Assign, BinOp, CallStmt, Const, Expr, FenceStmt,
-                  Func, If, Index, Module, Select, Stmt, StoreStmt, UnOp, Var,
-                  VarDecl, While)
+from ..core.values import Value
+from .ast import (Assign, BinOp, CallStmt, Const, Expr, FenceStmt, If, Index,
+                  Module, Select, Stmt, StoreStmt, UnOp, Var, While)
 from .typing import TypeEnv, expr_label
 
 #: Operand the code generator passes around: an immediate or a register

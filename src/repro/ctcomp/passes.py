@@ -17,7 +17,7 @@ to hand-written code as well as compiler output.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..core.isa import (Br, Call, Fence, Instruction, Jmpi, Load, Op, Ret,
                         Store)

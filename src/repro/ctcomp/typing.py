@@ -13,14 +13,13 @@ The checker also enforces the rules both source languages share:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..core.errors import CompileError
-from ..core.lattice import Label, PUBLIC
-from .ast import (ArrayDecl, Assign, BinOp, CallStmt, Const, Expr, FenceStmt,
-                  Func, If, Index, Module, Select, Stmt, StoreStmt, UnOp, Var,
-                  VarDecl, While)
+from ..core.lattice import Label
+from .ast import (Assign, BinOp, CallStmt, Const, Expr, FenceStmt, If, Index,
+                  Module, Select, Stmt, StoreStmt, UnOp, Var, While)
 
 
 @dataclass

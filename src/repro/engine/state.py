@@ -15,7 +15,7 @@ is quickly pruned never pays for its prefix at all.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set
+from typing import Optional, Set
 
 from ..core.config import Config
 from .journal import EMPTY_LOG, Log

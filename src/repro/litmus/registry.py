@@ -14,8 +14,8 @@ examples") is packaged as a :class:`LitmusCase` carrying:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core.config import Config
 from ..core.directives import Schedule
@@ -66,17 +66,20 @@ def suite(name: str):
     return register
 
 
+def _import_suites() -> None:
+    """Import every suite module: importing one registers its suite."""
+    from . import aliasing, diffregress, haystack, kocher  # noqa: F401
+    from . import spec_rsb, spec_v1, spec_v11, spec_v4  # noqa: F401
+
+
 def load_suite(name: str) -> List[LitmusCase]:
     """Instantiate a registered suite by name."""
-    # Import side effects register the suites on first use.
-    from . import aliasing, diffregress, haystack, kocher, spec_rsb, \
-        spec_v1, spec_v11, spec_v4  # noqa: F401
+    _import_suites()
     return _SUITES[name]()
 
 
 def all_suites() -> Dict[str, List[LitmusCase]]:
-    from . import aliasing, diffregress, haystack, kocher, spec_rsb, \
-        spec_v1, spec_v11, spec_v4  # noqa: F401
+    _import_suites()
     return {name: factory() for name, factory in sorted(_SUITES.items())}
 
 

@@ -17,11 +17,11 @@ from typing import List
 
 from ..core.config import Config
 from ..core.directives import RETIRE, execute, fetch
-from ..core.isa import Br, Call, Fence, Jmpi, Load, Op, Ret, Store
+from ..core.isa import Call, Fence, Jmpi, Load, Op, Ret, Store
 from ..core.lattice import PUBLIC, SECRET
 from ..core.memory import Memory, Region, layout
 from ..core.program import Program
-from ..core.values import Reg, Value, operands
+from ..core.values import Reg, operands
 from .registry import LitmusCase, suite
 
 

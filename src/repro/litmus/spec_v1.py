@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..asm import ProgramBuilder, assemble
+from ..asm import assemble
 from ..core.config import Config
 from ..core.directives import execute, fetch
 from ..core.lattice import PUBLIC, SECRET

@@ -19,8 +19,7 @@ from ..asm import assemble
 from ..core.config import Config
 from ..core.directives import execute, fetch
 from ..core.lattice import PUBLIC, SECRET
-from ..core.memory import Memory, Region, layout
-from ..core.values import Value
+from ..core.memory import Memory, layout
 from .registry import LitmusCase, suite
 
 

@@ -150,31 +150,39 @@ class RepairResult:
         }
 
 
-@dataclass(frozen=True)
-class SynthesisOptions:
-    """Knobs of the repair loop (the verifier's knobs are an
-    :class:`~repro.pitchfork.ExplorationOptions` beside it)."""
+#: Retire budget for the sequential baseline/overhead runs.
+MAX_RETIRES = 20_000
 
-    policy: str = "auto"            #: one of :data:`REPAIR_POLICIES`
-    max_rounds: int = 16
+
+@dataclass(frozen=True)
+class SynthesisOptions(ExplorationOptions):
+    """The repair loop's question: the verifier's exploration knobs
+    (inherited) plus the loop's own, each declared and checked once.
+    :class:`repro.api.AnalysisOptions` extends this record."""
+
+    #: Per-site mitigation policy: "fence" (speculation barriers only),
+    #: "slh" (prefer index masking, fences as fallback), or "auto".
+    policy: str = "auto"
+    #: Propose→re-verify rounds before the synthesizer gives up.
+    max_repair_rounds: int = 16
+    #: Run the delta-debugging shrink phase after security is reached.
     shrink: bool = True
-    #: Retire budget for the sequential baseline/overhead runs.
-    max_retires: int = 20_000
 
     def __post_init__(self):
+        super().__post_init__()
+        if self.max_repair_rounds <= 0:
+            raise ValueError("max_repair_rounds must be positive")
         if self.policy not in REPAIR_POLICIES:
-            raise ValueError(f"policy must be {'|'.join(REPAIR_POLICIES)}, "
+            raise ValueError(f"policy must be one of {REPAIR_POLICIES}, "
                              f"got {self.policy!r}")
-        if self.max_rounds <= 0:
-            raise ValueError("max_rounds must be positive")
 
 
-def _sequential_profile(program: Program, config: Config, rsb_policy: str,
-                        max_retires: int) -> Tuple[Set[str], int, object]:
+def _sequential_profile(program: Program, config: Config, rsb_policy: str
+                        ) -> Tuple[Set[str], int, object]:
     """Secret observations + step count + result of the canonical
     sequential schedule."""
     machine = Machine(program, rsb_policy=rsb_policy)
-    result = run_sequential(machine, config, max_retires=max_retires)
+    result = run_sequential(machine, config, max_retires=MAX_RETIRES)
     leaks = {repr(o) for o in secret_observations(result.trace)}
     return leaks, len(result.schedule), result
 
@@ -213,18 +221,16 @@ class MitigationSynthesizer:
     """Drives the repair→re-verify loop for one target."""
 
     def __init__(self, program: Program, config: Config,
-                 exploration: Optional[ExplorationOptions] = None, *,
-                 name: str = "<program>",
-                 options: Optional[SynthesisOptions] = None,
-                 **overrides):
+                 options: Optional[SynthesisOptions] = None, *,
+                 name: str = "<program>", **overrides):
         self.original = program
         self.config = config
         self.name = name
-        self.options = options or SynthesisOptions()
-        #: The verifier's knobs; every verification sees every leak.
-        self.exploration = resolve_options(
-            exploration, dict(overrides, stop_at_first=False))
-        self.rsb_policy = self.exploration.rsb_policy
+        #: The loop's question; every verification sees every leak.
+        self.options = resolve_options(
+            options if options is not None else SynthesisOptions(),
+            dict(overrides, stop_at_first=False))
+        self.rsb_policy = self.options.rsb_policy
         self._verifications = 0
         self._stepped = 0
         self._reused = 0
@@ -237,7 +243,7 @@ class MitigationSynthesizer:
 
     def _verify(self, program: Program) -> AnalysisReport:
         report = analyze(program, self.config.with_(pc=program.entry),
-                         self.exploration, name=self.name)
+                         self.options, name=self.name)
         self._verifications += 1
         self._stepped += report.states_stepped
         self._reused += report.states_reused
@@ -266,8 +272,7 @@ class MitigationSynthesizer:
         the access load's index actually strips the secret from the
         transient data flow.
         """
-        opts = self.options
-        want_slh = (opts.policy in ("slh", "auto")
+        want_slh = (self.options.policy in ("slh", "auto")
                     and site.branch_pp is not None
                     and site.cause in ("v1", "v1.1"))
         if want_slh:
@@ -279,7 +284,7 @@ class MitigationSynthesizer:
                 except MitigationError:
                     continue
                 why = _preserves_semantics(base_seq, candidate, self.config,
-                                           self.rsb_policy, opts.max_retires)
+                                           self.rsb_policy, MAX_RETIRES)
                 if why is None:
                     self._slh_done.add(load_pp)
                     return candidate, applied, True
@@ -291,7 +296,7 @@ class MitigationSynthesizer:
         except MitigationError:
             return None
         why = _preserves_semantics(base_seq, candidate, self.config,
-                                   self.rsb_policy, opts.max_retires)
+                                   self.rsb_policy, MAX_RETIRES)
         if why is not None:
             self._semantics_failures.append(
                 f"fence at point {site.leak_pp} (accepted): {why}")
@@ -303,7 +308,7 @@ class MitigationSynthesizer:
         t0 = time.perf_counter()
         opts = self.options
         seq_leaks, seq_steps, base_seq = _sequential_profile(
-            self.original, self.config, self.rsb_policy, opts.max_retires)
+            self.original, self.config, self.rsb_policy)
 
         current = self.original
         steps: List[RepairStep] = []
@@ -313,7 +318,7 @@ class MitigationSynthesizer:
         report = None
         rounds = 0
 
-        for rounds in range(1, opts.max_rounds + 1):
+        for rounds in range(1, opts.max_repair_rounds + 1):
             report = self._verify(current)
             residual = self._transient(report, seq_leaks)
             if not residual:
@@ -364,7 +369,7 @@ class MitigationSynthesizer:
             machine = Machine(current, rsb_policy=self.rsb_policy)
             result = run_sequential(machine,
                                     self.config.with_(pc=current.entry),
-                                    max_retires=opts.max_retires)
+                                    max_retires=MAX_RETIRES)
             repaired_steps = len(result.schedule)
 
         live = tuple(steps)
@@ -417,30 +422,23 @@ class MitigationSynthesizer:
 
 
 def repair(program: Program, config: Config,
-           options: Optional[ExplorationOptions] = None, *,
-           name: str = "<program>",
-           policy: str = "auto",
-           max_rounds: int = 16,
-           shrink: bool = True,
-           **overrides) -> RepairResult:
+           options: Optional[SynthesisOptions] = None, *,
+           name: str = "<program>", **overrides) -> RepairResult:
     """Synthesize a minimal mitigation for ``program``.
 
-    Every verification run explores with ``options`` and the keyword
-    ``overrides`` as :func:`repro.pitchfork.analyze` does (``bound``,
-    ``fwd_hazards``, ``rsb_policy``, ``strategy``, ``prune``, ...),
-    except that it never stops at the first leak.
+    ``options`` (a :class:`SynthesisOptions`) and the keyword
+    ``overrides`` of its fields set the loop's knobs (``policy``,
+    ``max_repair_rounds``, ``shrink``) and the exploration every
+    verification runs, as :func:`repro.pitchfork.analyze` does
+    (``bound``, ``fwd_hazards``, ``rsb_policy``, ``strategy``,
+    ``prune``, ...), except that it never stops at the first leak.
     """
-    synthesizer = MitigationSynthesizer(
-        program, config, options, name=name,
-        options=SynthesisOptions(policy=policy, max_rounds=max_rounds,
-                                 shrink=shrink),
-        **overrides)
-    return synthesizer.run()
+    return MitigationSynthesizer(program, config, options, name=name,
+                                 **overrides).run()
 
 
 def verify_certificate(certificate: Dict[str, object], config: Config,
                        options: Optional[ExplorationOptions] = None, *,
-                       max_retires: int = 20_000,
                        original: Optional[Program] = None,
                        **overrides) -> bool:
     """Re-check a repair certificate from scratch.
@@ -465,8 +463,8 @@ def verify_certificate(certificate: Dict[str, object], config: Config,
     if original is not None and certificate.get("semantics_preserved"):
         machine = Machine(original, rsb_policy=rsb_policy)
         base = run_sequential(machine, config.with_(pc=original.entry),
-                              max_retires=max_retires)
+                              max_retires=MAX_RETIRES)
         if _preserves_semantics(base, program, config, rsb_policy,
-                                max_retires) is not None:
+                                MAX_RETIRES) is not None:
             return False
     return True

@@ -121,9 +121,9 @@ class ExplorationOptions:
     The one declaration of every exploration knob, its default and its
     check.  :class:`repro.api.AnalysisOptions` extends this record with
     the analysis-only sections; every layer below it (``analyze``, the
-    :mod:`~repro.pitchfork.schedules` entry points, the repair loop)
-    takes the record itself, and reads a field of a wider record by
-    its name.
+    :mod:`~repro.pitchfork.schedules` entry points, the sps second
+    opinion, the repair loop) takes the record itself, and reads a
+    field of a wider record by its name.
     """
 
     bound: int = 20            #: speculation bound = max reorder-buffer size

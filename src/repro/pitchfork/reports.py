@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..asm.disasm import disassemble
 from ..core.program import Program
 from .detector import AnalysisReport
 from .explorer import Violation

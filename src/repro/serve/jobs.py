@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping, Optional
 
 from ..api.analyses import get_analysis
-from ..api.project import AnalysisOptions, Project
+from ..api.project import PRESETS, AnalysisOptions, Project
 from ..api.report import Report
 
 __all__ = ["resolve_project", "run_job", "effective_options",
@@ -53,28 +53,21 @@ def spec_for_asm(source: str, *, regs: Optional[Mapping[str, int]] = None,
     return spec
 
 
-def _preset_options(spec: Mapping[str, Any]) -> Optional[AnalysisOptions]:
-    preset = spec.get("preset")
-    if preset is None:
-        return None
-    if preset == "paper":
-        return AnalysisOptions.paper()
-    if preset == "table2":
-        return AnalysisOptions.table2()
-    raise ValueError(f"unknown preset {preset!r} "
-                     f"(expected 'paper' or 'table2')")
-
-
 def resolve_project(spec: Mapping[str, Any]) -> Project:
     """Build the :class:`Project` a spec describes.
 
-    Mirrors the CLI's target resolution bit-for-bit (same constructors,
-    same default options), so a daemon-run analysis starts from exactly
-    the state a local ``repro analyze`` would.  Raises ``KeyError`` for
-    unknown names and ``ValueError`` for malformed specs.
+    The one target resolution: ``repro analyze`` and ``repro repair``
+    resolve their targets through it too, so a daemon-run analysis
+    starts from exactly the state a local run would.  Raises
+    ``KeyError`` for unknown names and ``ValueError`` for malformed
+    specs.
     """
     kind = spec.get("kind", "name")
-    options = _preset_options(spec)
+    preset = spec.get("preset")
+    if preset is not None and preset not in PRESETS:
+        raise ValueError(f"unknown preset {preset!r} "
+                         f"(expected one of {sorted(PRESETS)})")
+    options = PRESETS[preset]() if preset is not None else None
     if kind == "asm":
         source = spec.get("source")
         if not isinstance(source, str) or not source.strip():

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..api.analyses import get_analysis
-from ..api.report import Report
 from ..obs import MetricsRegistry
 from . import protocol
 from .jobs import effective_options, resolve_project, run_job

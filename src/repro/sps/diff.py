@@ -43,7 +43,7 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api.project import AnalysisOptions
@@ -151,17 +151,7 @@ def _pf_observations(program: Program, config: Config,
 def _sps_observations(program: Program, config: Config,
                       options: AnalysisOptions) -> Tuple[Tuple[str, ...], bool]:
     """The SPS backend's flagged observation set, plus completeness."""
-    result = explore_sps(
-        program, config,
-        bound=options.bound,
-        fwd_hazards=options.fwd_hazards,
-        explore_aliasing=options.explore_aliasing,
-        jmpi_targets=options.jmpi_targets,
-        rsb_targets=options.rsb_targets,
-        rsb_policy=options.rsb_policy,
-        max_paths=options.max_paths,
-        max_steps=options.max_steps,
-        stop_at_first=False)
+    result = explore_sps(program, config, options, stop_at_first=False)
     obs = tuple(sorted({repr(v.observation) for v in result.violations}))
     return obs, result.complete
 

@@ -50,7 +50,7 @@ plumbing is shared with the first opinion verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.config import Config
 from ..core.directives import Directive, Execute, Fetch
@@ -63,7 +63,8 @@ from ..core.observations import (Fwd, Jump, Observation, Read, Write,
                                  is_secret_dependent)
 from ..core.program import Program
 from ..core.values import Reg, Value
-from ..pitchfork.explorer import Violation
+from ..pitchfork.explorer import (MAX_FETCHES, ExplorationOptions,
+                                  Violation, resolve_options)
 from .transform import site_counts, speculation_sites
 
 #: Cap on the per-path schedule/trace tails kept for violation reports
@@ -153,10 +154,10 @@ class SpsResult:
     paths_explored: int = 0
     states_stepped: int = 0
     truncated: bool = False     #: max_paths was hit
-    #: Paths cut short by a per-path budget (max_steps / max_fetches) —
+    #: Paths cut short by a per-path budget (max_steps / MAX_FETCHES) —
     #: non-terminating product programs (a ``ret`` looping through a
     #: just-written return address) end up here, exactly as the
-    #: explorer's per-path ``max_fetches`` cuts the machine's loops.
+    #: explorer's per-path ``MAX_FETCHES`` cap cuts the machine's loops.
     exhausted_paths: int = 0
     #: Per-kind counts from the transformation's site table.
     sites: Mapping[str, int] = field(default_factory=dict)
@@ -172,22 +173,10 @@ class SpsResult:
 
 
 class _Interp:
-    def __init__(self, program: Program, *, bound: int, fwd_hazards: bool,
-                 explore_aliasing: bool, jmpi_targets: Tuple[int, ...],
-                 rsb_targets: Tuple[int, ...], rsb_policy: str,
-                 max_paths: int, max_fetches: int, max_steps: int,
-                 stop_at_first: bool) -> None:
+    def __init__(self, program: Program,
+                 options: ExplorationOptions) -> None:
         self.program = program
-        self.bound = bound
-        self.fwd_hazards = fwd_hazards
-        self.explore_aliasing = explore_aliasing
-        self.jmpi_targets = jmpi_targets
-        self.rsb_targets = rsb_targets
-        self.rsb_policy = rsb_policy
-        self.max_paths = max_paths
-        self.max_fetches = max_fetches
-        self.max_steps = max_steps
-        self.stop_at_first = stop_at_first
+        self.options = options
         self.result = SpsResult()
         self.seen: set = set()
         self.stack: List[_State] = []
@@ -209,7 +198,7 @@ class _Interp:
                 observation=obs, step_index=st.nsteps - 1,
                 directive=directive, buffer_index=st.idx,
                 schedule=tuple(st.schedule), trace=tuple(st.trace)))
-            if self.stop_at_first:
+            if self.options.stop_at_first:
                 self.done = True
 
     def _silent(self, st: _State, directive: Directive) -> None:
@@ -231,9 +220,9 @@ class _Interp:
                          Write(entry.addr, entry.label))
         del st.buf[:]
 
-    def _commit_aged(self, st: _State) -> None:
+    def _commit_aged(self, st: _State, bound: int) -> None:
         """Slide the window: stores ``bound`` indices old retire."""
-        while st.buf and st.buf[0].index <= st.idx - self.bound:
+        while st.buf and st.buf[0].index <= st.idx - bound:
             entry = st.buf.pop(0)
             st.mem = st.mem.write(entry.addr, entry.value)
             self._record(st, Execute(entry.index),
@@ -270,6 +259,7 @@ class _Interp:
         raises the hazard.
         """
         label = addr_v.label
+        options = self.options
         matching = [entry for entry in st.buf if entry.addr == addr]
         arms = []
         if matching:
@@ -279,7 +269,7 @@ class _Interp:
         else:
             arms.append((st.mem.read(addr), Read(addr, label), None, None,
                          Execute(load_idx)))
-        if self.fwd_hazards and matching:
+        if options.fwd_hazards and matching:
             oldest = matching[0]
             arms.append((st.mem.read(addr), Read(addr, label), oldest.index,
                          "bypass", Execute(oldest.index, "addr")))
@@ -288,7 +278,7 @@ class _Interp:
                 arms.append((entry.value, Fwd(addr, label),
                              invalidating.index, "fwd",
                              Execute(load_idx, entry.index)))
-        if self.explore_aliasing:
+        if options.explore_aliasing:
             # The aliasing guess (§3.5) validates only when the *load*
             # resolves its own address — by which time the originating
             # store has retired, so the machine validates against
@@ -315,8 +305,8 @@ class _Interp:
         arms = self._load_arms(st, addr, addr_v, st.idx)
         for value, obs, anchor, kind, directive in arms[1:]:
             wrong = st.clone()
-            wrong.frames.append(_Frame(kind,
-                                       wrong.capped_end(anchor + self.bound)))
+            wrong.frames.append(_Frame(
+                kind, wrong.capped_end(anchor + self.options.bound)))
             if kind == "alias" and st.frames:
                 # An aliasing guess emits its fwd only at validation
                 # (when the load's address resolves); nested inside an
@@ -351,7 +341,7 @@ class _Interp:
         branch_idx = st.idx
         wrong = st.clone()
         wrong.frames.append(_Frame(
-            "mispredict", wrong.capped_end(branch_idx + self.bound)))
+            "mispredict", wrong.capped_end(branch_idx + self.options.bound)))
         self._silent(wrong, Fetch(not taken))
         wrong.pc = mispredicted
         wrong.idx = branch_idx + 1
@@ -363,12 +353,12 @@ class _Interp:
     def _step_jmpi(self, st: _State, instr: Jmpi) -> None:
         target, addr_v = self._address(st, instr.args)
         jmpi_idx = st.idx
-        for trained in self.jmpi_targets:
+        for trained in self.options.jmpi_targets:
             if trained == target:
                 continue
             wrong = st.clone()
             wrong.frames.append(_Frame(
-                "mispredict", wrong.capped_end(jmpi_idx + self.bound)))
+                "mispredict", wrong.capped_end(jmpi_idx + self.options.bound)))
             self._silent(wrong, Fetch(trained))
             wrong.pc = trained
             wrong.idx = jmpi_idx + 1
@@ -413,9 +403,9 @@ class _Interp:
         if st.rsb:
             predicted: Optional[int] = st.rsb.pop()
             st.last_popped = predicted
-        elif self.rsb_policy == "refuse":
+        elif self.options.rsb_policy == "refuse":
             raise _Stuck("ret with an empty RSB (policy: refuse)")
-        elif self.rsb_policy == "circular":
+        elif self.options.rsb_policy == "circular":
             predicted = st.last_popped
         else:  # "directive": attacker supplies the fetch target
             predicted = None
@@ -434,8 +424,8 @@ class _Interp:
         correct_value, correct_obs, _, _, correct_dir = arms[0]
         for value, obs, anchor, kind, directive in arms[1:]:
             wrong = st.clone()
-            wrong.frames.append(_Frame(kind,
-                                       wrong.capped_end(anchor + self.bound)))
+            wrong.frames.append(_Frame(
+                kind, wrong.capped_end(anchor + self.options.bound)))
             if kind == "alias" and st.frames:
                 self._silent(wrong, directive)  # see _step_load
             else:
@@ -466,12 +456,12 @@ class _Interp:
             # RSB underflow, "directive" policy: the attacker may fetch
             # any trained target; the correct continuation resolves with
             # a rollback either way.
-            for trained in self.rsb_targets:
+            for trained in self.options.rsb_targets:
                 if trained == actual:
                     continue
                 wrong = st.clone()
-                wrong.frames.append(_Frame(
-                    "mispredict", wrong.capped_end(jmpi_idx + self.bound)))
+                wrong.frames.append(_Frame("mispredict", wrong.capped_end(
+                    jmpi_idx + self.options.bound)))
                 self._silent(wrong, Fetch(trained))
                 wrong.pc = trained
                 wrong.idx = end
@@ -481,7 +471,7 @@ class _Interp:
             # target until the jump resolves.
             wrong = st.clone()
             wrong.frames.append(_Frame(
-                "mispredict", wrong.capped_end(jmpi_idx + self.bound)))
+                "mispredict", wrong.capped_end(jmpi_idx + self.options.bound)))
             self._silent(wrong, Fetch(predicted))
             wrong.pc = predicted
             wrong.idx = end
@@ -503,8 +493,9 @@ class _Interp:
     def run(self, config: Config) -> SpsResult:
         root = _State(dict(config.regs), config.mem, config.pc)
         self.stack.append(root)
+        max_paths = self.options.max_paths
         while self.stack and not self.done:
-            if self.result.paths_explored >= self.max_paths:
+            if self.result.paths_explored >= max_paths:
                 self.result.truncated = True
                 break
             st = self.stack.pop()
@@ -512,10 +503,11 @@ class _Interp:
         return self.result
 
     def _run_path(self, st: _State) -> None:
+        bound, max_steps = self.options.bound, self.options.max_steps
         while not self.done:
-            if st.nsteps >= self.max_steps or st.idx >= self.max_fetches:
+            if st.nsteps >= max_steps or st.idx >= MAX_FETCHES:
                 # Per-path budgets, mirroring the explorer's
-                # max_steps/max_fetches: this path is cut, but every
+                # max_steps/MAX_FETCHES: this path is cut, but every
                 # queued sibling arm still runs — a non-terminating
                 # architectural loop cannot starve the search.
                 self.result.exhausted_paths += 1
@@ -530,7 +522,7 @@ class _Interp:
             if instr is None:
                 st.pc = None
                 break
-            self._commit_aged(st)
+            self._commit_aged(st, bound)
             self.result.states_stepped += 1
             try:
                 if isinstance(instr, Op):
@@ -557,43 +549,22 @@ class _Interp:
         self._end_path(st)
 
 
-def explore_sps(program: Program, config: Config, *,
-                bound: int = 20,
-                fwd_hazards: bool = True,
-                explore_aliasing: bool = False,
-                jmpi_targets: Sequence[int] = (),
-                rsb_targets: Sequence[int] = (),
-                rsb_policy: str = "directive",
-                max_paths: int = 20_000,
-                max_fetches: int = 2_000,
-                max_steps: int = 40_000,
-                stop_at_first: bool = True) -> SpsResult:
+def explore_sps(program: Program, config: Config,
+                options: Optional[ExplorationOptions] = None,
+                **overrides) -> SpsResult:
     """Decide speculative constant time by sequential check of the
     speculation-passing product program.
 
-    Knobs mirror :func:`repro.pitchfork.analyze` — same speculation
-    bound, same Spectre-variant toggles, same per-path
-    ``max_fetches``/``max_steps`` budgets — so the two backends are run
-    on identical questions and their flagged observation sets are
-    directly comparable.
+    Takes the :class:`~repro.pitchfork.ExplorationOptions` record that
+    :func:`repro.pitchfork.analyze` takes, plus keyword overrides of its
+    fields — same speculation bound, same Spectre-variant toggles, same
+    per-path ``max_steps``/``MAX_FETCHES`` budgets — so the two
+    backends are run on identical questions and their flagged
+    observation sets are directly comparable.  The search-order knobs
+    (``strategy``, ``prune``, ``subsume``, ...) have no meaning for an
+    in-order interpreter and are not read.
     """
-    if rsb_policy not in ("directive", "refuse", "circular"):
-        raise ValueError(f"unknown rsb_policy {rsb_policy!r}")
-    if bound < 1:
-        raise ValueError(f"speculation bound must be >= 1, got {bound}")
-    interp = _Interp(program,
-                     bound=bound,
-                     fwd_hazards=fwd_hazards,
-                     explore_aliasing=explore_aliasing,
-                     jmpi_targets=tuple(jmpi_targets),
-                     rsb_targets=tuple(rsb_targets),
-                     rsb_policy=rsb_policy,
-                     max_paths=max_paths,
-                     max_fetches=max_fetches,
-                     max_steps=max_steps,
-                     stop_at_first=stop_at_first)
-    result = interp.run(config)
-    result.sites = site_counts(speculation_sites(
-        program, fwd_hazards=fwd_hazards, explore_aliasing=explore_aliasing,
-        jmpi_targets=jmpi_targets, rsb_targets=rsb_targets))
+    options = resolve_options(options, overrides)
+    result = _Interp(program, options).run(config)
+    result.sites = site_counts(speculation_sites(program, options))
     return result

@@ -39,10 +39,11 @@ younger ``bypass``/``rsb`` sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..core.isa import Br, Call, Fence, Jmpi, Load, Ret, Store
 from ..core.program import Program
+from ..pitchfork.explorer import ExplorationOptions, resolve_options
 
 #: The speculative-arm kinds, in the order tables report them.
 SITE_KINDS = ("mispredict", "mistrain", "bypass", "alias", "rsb")
@@ -68,19 +69,20 @@ class SpecSite:
         return f"SpecSite({self.kind} @ {self.pp}{arms})"
 
 
-def speculation_sites(program: Program, *,
-                      fwd_hazards: bool = True,
-                      explore_aliasing: bool = False,
-                      jmpi_targets: Sequence[int] = (),
-                      rsb_targets: Sequence[int] = ()
-                      ) -> Dict[int, Tuple[SpecSite, ...]]:
+def speculation_sites(program: Program,
+                      options: Optional[ExplorationOptions] = None,
+                      **overrides) -> Dict[int, Tuple[SpecSite, ...]]:
     """The site table of the speculation-passing transformation.
 
     Maps each program point to the speculative choice points
-    materialised there.  Program points without speculation (``op``,
-    ``fence``, plain ``call``) are absent: the transformed program is
-    deterministic there and the sequential check just steps through.
+    materialised there, under the Spectre-variant toggles of
+    ``options`` (an :class:`~repro.pitchfork.ExplorationOptions`, with
+    keyword overrides of its fields).  Program points without
+    speculation (``op``, ``fence``, plain ``call``) are absent: the
+    transformed program is deterministic there and the sequential check
+    just steps through.
     """
+    options = resolve_options(options, overrides)
     table: Dict[int, Tuple[SpecSite, ...]] = {}
     for pp, instr in program.items():
         sites = []
@@ -88,17 +90,17 @@ def speculation_sites(program: Program, *,
             sites.append(SpecSite(pp, "mispredict",
                                   (instr.n_true, instr.n_false)))
         elif isinstance(instr, Jmpi):
-            sites.append(SpecSite(pp, "mistrain", tuple(jmpi_targets)))
+            sites.append(SpecSite(pp, "mistrain", options.jmpi_targets))
         elif isinstance(instr, Load):
-            if fwd_hazards:
+            if options.fwd_hazards:
                 sites.append(SpecSite(pp, "bypass"))
-            if explore_aliasing:
+            if options.explore_aliasing:
                 sites.append(SpecSite(pp, "alias"))
         elif isinstance(instr, Ret):
-            sites.append(SpecSite(pp, "rsb", tuple(rsb_targets)))
-            if fwd_hazards:
+            sites.append(SpecSite(pp, "rsb", options.rsb_targets))
+            if options.fwd_hazards:
                 sites.append(SpecSite(pp, "bypass"))
-            if explore_aliasing:
+            if options.explore_aliasing:
                 sites.append(SpecSite(pp, "alias"))
         elif isinstance(instr, (Store, Call, Fence)):
             pass  # forwarding sources / barriers, not choice points

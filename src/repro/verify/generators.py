@@ -9,12 +9,11 @@ within a small arena so forwarding and hazards actually happen.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.config import Config
 from ..core.directives import Directive, Execute, Fetch, Retire, Schedule
-from ..core.errors import StuckError
-from ..core.isa import Br, Fence, Instruction, Load, Op, Store
+from ..core.isa import Br, Fence, Load, Op, Store
 from ..core.lattice import PUBLIC, SECRET
 from ..core.machine import Machine
 from ..core.memory import Memory, Region

@@ -29,15 +29,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from ..core.config import Config
-from ..core.directives import Schedule, retire_count
-from ..core.errors import StuckError
+from ..core.directives import Schedule
 from ..core.executor import run
 from ..core.machine import Machine
 from ..core.observations import secret_observations
-from ..core.program import Program
 from ..core.sequential import run_sequential
 from ..pitchfork import ExplorationOptions, Explorer
 from .generators import random_config, random_program, random_schedule

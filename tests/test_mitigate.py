@@ -37,10 +37,9 @@ def _case_kwargs(case):
 
 
 def _repair_case(case, **overrides):
-    kwargs = _case_kwargs(case)
-    kwargs.update(overrides)
-    return repair(case.program, case.make_config(), name=case.name,
-                  rsb_policy=case.rsb_policy, **kwargs)
+    return repair(case.program, case.make_config(),
+                  AnalysisOptions.for_case(case), name=case.name,
+                  **overrides)
 
 
 def _round_trips(program) -> bool:

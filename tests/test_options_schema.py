@@ -1,23 +1,29 @@
 """One exploration knob record.
 
-:class:`ExplorationOptions` declares every exploration knob once;
-:class:`AnalysisOptions` extends it with the analysis-only sections and
-every Pitchfork entry point takes the record as it is.  These tests pin
-the schema (no field added, none lost, none declared twice), that the
-record reaches the explorer unchanged through every analysis, and that
-an analysis which cannot act on a knob says so.
+:class:`ExplorationOptions` declares every exploration knob once,
+:class:`SynthesisOptions` adds the repair loop's, and
+:class:`AnalysisOptions` extends that with the analysis-only sections;
+every Pitchfork, sps and repair entry point takes the record as it is.
+These tests pin the schema (no field added, none lost, none declared
+twice), that the record reaches the explorer unchanged through every
+analysis, and that an analysis which cannot act on a knob the caller
+set says so.
 """
 
 import inspect
+import json
 from dataclasses import fields
 
 import pytest
 
 import repro.api.analyses as analyses
 import repro.pitchfork as pitchfork
-from repro.api import AnalysisOptions, Project
-from repro.api.cli import _option_overrides, build_parser
+from repro.api import AnalysisManager, AnalysisOptions, Project
+from repro.api.cli import _option_overrides, build_parser, main
+from repro.mitigate import (MitigationSynthesizer, SynthesisOptions, repair,
+                            verify_certificate)
 from repro.pitchfork import ExplorationOptions
+from repro.sps import explore_sps, speculation_sites
 from repro.pitchfork.explorer import Explorer
 
 #: The schema of AnalysisOptions: every field name and its default.
@@ -60,15 +66,46 @@ class TestSingleSource:
         opts = ExplorationOptions(jmpi_targets=[3, 1])
         assert opts.jmpi_targets == (3, 1)
 
+    def test_every_repair_knob_is_inherited_not_redeclared(self):
+        mine = AnalysisOptions.__dict__["__annotations__"]
+        assert issubclass(SynthesisOptions, ExplorationOptions)
+        for f in fields(SynthesisOptions):
+            assert f.name not in mine, f.name
+            assert f in fields(AnalysisOptions), f.name
+        for bad in ({"policy": "bogus"}, {"max_repair_rounds": 0}):
+            with pytest.raises(ValueError):
+                SynthesisOptions(**bad)
+
     def test_entry_points_take_the_record(self):
         for fn in (pitchfork.analyze, pitchfork.enumerate_schedules,
-                   pitchfork.schedule_stats):
+                   pitchfork.schedule_stats, explore_sps, speculation_sites,
+                   repair, verify_certificate, MitigationSynthesizer):
             params = inspect.signature(fn).parameters
             assert "options" in params, fn.__name__
             assert not set(params) & {"bound", "fwd_hazards", "strategy",
-                                      "prune", "max_paths"}, fn.__name__
+                                      "prune", "max_paths", "policy",
+                                      "max_rounds", "shrink", "max_fetches",
+                                      "max_retires"}, fn.__name__
         assert not hasattr(analyses, "explore_knobs")
         assert not hasattr(pitchfork, "analyze_two_phase")
+        project = Project.from_litmus("kocher_01")
+        with pytest.raises(TypeError):
+            explore_sps(project.program, project.config(), max_fetches=1)
+
+    def test_sps_reads_the_record_it_is_given(self):
+        project = Project.from_litmus("kocher_01")
+        options = project.options.with_(stop_at_first=False)
+        whole = explore_sps(project.program, project.config(), options)
+        by_field = explore_sps(
+            project.program, project.config(), bound=options.bound,
+            fwd_hazards=options.fwd_hazards, max_paths=options.max_paths,
+            stop_at_first=False)
+        assert whole.violations and whole.paths_explored > 1
+        assert [repr(v) for v in whole.violations] == \
+            [repr(v) for v in by_field.violations]
+        assert whole.paths_explored == by_field.paths_explored
+        assert speculation_sites(project.program, options) == \
+            speculation_sites(project.program, fwd_hazards=False)
 
 
 #: Flags of ``analyze``/``repair`` that are not AnalysisOptions fields.
@@ -134,11 +171,35 @@ class TestTheRecordReachesTheExplorer:
             report = Project.from_litmus("kocher_01").run(analysis)
             assert not [k for k in report.details
                         if k.endswith("_ignored")], analysis
-        # The case's own bound and caps are exploration knobs too, which
-        # metatheory cannot act on: only default options report nothing.
-        report = Project.from_litmus(
-            "kocher_01", options=AnalysisOptions()).run("metatheory")
-        assert not [k for k in report.details if k.endswith("_ignored")]
+        # The case's own bound and caps are exploration knobs metatheory
+        # cannot act on, but they are the project's, not the caller's:
+        # neither the case's knobs nor default options report anything.
+        for project in (Project.from_litmus("kocher_01"),
+                        Project.from_litmus("kocher_01",
+                                            options=AnalysisOptions())):
+            report = project.run("metatheory")
+            assert not [k for k in report.details
+                        if k.endswith("_ignored")]
+
+    def test_cli_reports_only_the_flags_it_was_given(self, capsys):
+        main(["analyze", "kocher_01", "-a", "metatheory", "--json"])
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert not [k for k in details if k.endswith("_ignored")]
+        main(["analyze", "kocher_01", "-a", "metatheory", "--bound", "5",
+              "--json"])
+        details = json.loads(capsys.readouterr().out)["details"]
+        assert details["bound_ignored"] == 5
+        assert [k for k in details if k.endswith("_ignored")] == \
+            ["bound_ignored"]
+
+    def test_manager_reports_the_overrides_it_passes(self):
+        project = Project.from_litmus("kocher_01")
+        manager = AnalysisManager("metatheory", cache=False)
+        (plain,) = manager.run([project])
+        assert not [k for k in plain.details if k.endswith("_ignored")]
+        (report,) = manager.run([project], strategy="random", bound=5)
+        assert report.details["strategy_ignored"] == "random"
+        assert report.details["bound_ignored"] == 5
 
     def test_metatheory_reports_the_search_knobs_it_ignores(self):
         report = Project.from_litmus("kocher_01").run(
