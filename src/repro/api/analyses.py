@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import fields, replace
-from typing import Dict, List, Tuple, Type
+from typing import Any, Dict, List, Mapping, Tuple, Type
 
 from ..core.machine import Machine
 from ..core.sct import check_sct
@@ -99,26 +99,29 @@ _EXPLORATION_DEFAULTS = {f.name: f.default
                          for f in fields(ExplorationOptions)}
 
 
-def _ignore_knobs(preset: AnalysisOptions, options: AnalysisOptions,
-                  knobs: Tuple[str, ...]
-                  ) -> Tuple[AnalysisOptions, Dict[str, object]]:
-    """Reset the exploration knobs an analysis cannot act on.
+def _ignore_knobs(options: AnalysisOptions,
+                  knobs: Tuple[str, ...]) -> AnalysisOptions:
+    """``options`` with each of ``knobs`` back at its default."""
+    reset = {knob: _EXPLORATION_DEFAULTS[knob] for knob in knobs
+             if getattr(options, knob) != _EXPLORATION_DEFAULTS[knob]}
+    return replace(options, **reset) if reset else options
 
-    Returns ``options`` with each of ``knobs`` back at its default, and
-    the ``*_ignored`` report details for those the caller set away from
-    the project's ``preset``: ``<knob>_ignored``
-    (``budget_ignored`` for ``budget_seconds``) holding the value asked
-    for.  Ignored, and said so — never silently dropped.
+
+def restate_ignored(details: Mapping[str, Any],
+                    ignored: Mapping[str, Any]) -> Mapping[str, Any]:
+    """``details`` with its ``*_ignored`` entries replaced by
+    ``ignored`` (``details`` itself when they are equal).
+
+    A cached report answers every request with the same effective
+    options, but what a request *set*, and so what it is told was
+    ignored, depends on how it split into preset and overrides.
     """
-    reset, ignored = {}, {}
-    for knob in knobs:
-        value = getattr(options, knob)
-        if value != getattr(preset, knob):
-            key = "budget" if knob == "budget_seconds" else knob
-            ignored[f"{key}_ignored"] = value
-        if value != _EXPLORATION_DEFAULTS[knob]:
-            reset[knob] = _EXPLORATION_DEFAULTS[knob]
-    return (replace(options, **reset) if reset else options), ignored
+    old = {k: v for k, v in details.items() if k.endswith("_ignored")}
+    if old == ignored:
+        return details
+    kept = {k: v for k, v in details.items() if k not in old}
+    kept.update(ignored)
+    return kept
 
 
 class Analysis:
@@ -128,15 +131,29 @@ class Analysis:
     description: str = ""
     #: Exploration knobs this analysis has nothing to act on: reset to
     #: their defaults before :meth:`_run`, and reported when set (see
-    #: :func:`_ignore_knobs`).
+    #: :meth:`ignored`).
     ignores: Tuple[str, ...] = ()
 
+    def ignored(self, preset: AnalysisOptions,
+                options: AnalysisOptions) -> Dict[str, Any]:
+        """The ``*_ignored`` report details of a run under ``options``
+        of a project built with ``preset``: ``<knob>_ignored``
+        (``budget_ignored`` for ``budget_seconds``), holding the value
+        asked for, for each ignored knob set away from the preset.
+        Ignored, and said so — never silently dropped."""
+        out = {}
+        for knob in self.ignores:
+            value = getattr(options, knob)
+            if value != getattr(preset, knob):
+                key = "budget" if knob == "budget_seconds" else knob
+                out[f"{key}_ignored"] = value
+        return out
+
     def run(self, project: Project, **overrides) -> Report:
-        options, ignored = _ignore_knobs(
-            project.preset, project.options.with_(**overrides),
-            self.ignores)
+        options = project.options.with_(**overrides)
+        ignored = self.ignored(project.preset, options)
         t0 = time.perf_counter()
-        report = self._run(project, options)
+        report = self._run(project, _ignore_knobs(options, self.ignores))
         if report.wall_time == 0.0:
             report = report.with_(wall_time=time.perf_counter() - t0)
         if ignored:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..obs import ambient_tracer
-from .analyses import get_analysis
+from .analyses import get_analysis, restate_ignored
 from .project import AnalysisOptions, Project
 from .report import Report
 
@@ -95,7 +95,8 @@ class AnalysisManager:
                  workers: Optional[int] = None,
                  cache: bool = True,
                  store: Optional[Union[str, "ResultStore"]] = None):
-        self.analysis = get_analysis(analysis).name
+        self._analysis = get_analysis(analysis)
+        self.analysis = self._analysis.name
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
@@ -135,16 +136,23 @@ class AnalysisManager:
             if not self._cache_enabled:
                 pending.append(i)
                 continue
-            if key in self._cache:
+            cached = self._cache.get(key)
+            if cached is not None:
                 self._info.hits += 1
-                results[i] = self._cache[key]
-                continue
-            stored = self._from_store(key)
-            if stored is not None:
-                self._info.disk_hits += 1
-                results[i] = self._cache[key] = stored
             else:
-                pending.append(i)
+                cached = self._from_store(key)
+                if cached is None:
+                    pending.append(i)
+                    continue
+                self._info.disk_hits += 1
+                self._cache[key] = cached
+            # The worker's project is built with the payload's options
+            # as its preset (see _run_payload).
+            base = payloads[i][3]
+            details = restate_ignored(cached.details, self._analysis.ignored(
+                base, base.with_(**overrides)))
+            results[i] = cached if details is cached.details \
+                else cached.with_(details=details)
         self._info.misses += len(pending)
 
         if pending:

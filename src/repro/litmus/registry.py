@@ -15,7 +15,7 @@ examples") is packaged as a :class:`LitmusCase` carrying:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.config import Config
 from ..core.directives import Schedule
@@ -72,29 +72,56 @@ def _import_suites() -> None:
     from . import spec_rsb, spec_v1, spec_v11, spec_v4  # noqa: F401
 
 
+class _Registry(NamedTuple):
+    """Every suite's cases, built once from one state of ``_SUITES``."""
+
+    factories: Dict[str, Callable[[], List[LitmusCase]]]
+    suites: Dict[str, Tuple[LitmusCase, ...]]   #: by suite, sorted names
+    cases: Tuple[LitmusCase, ...]
+    by_name: Dict[str, LitmusCase]               #: first case of a name
+
+
+_built: Optional[_Registry] = None
+
+
+def _registry() -> _Registry:
+    """The registry, built on the first call and whenever ``_SUITES``
+    has changed since (a suite registered later).
+
+    The cases are immutable values (frozen records, a ``Program`` has
+    no mutators, each ``make_config()`` call builds a fresh ``Config``),
+    so every caller may share them.
+    """
+    global _built
+    if _built is None or _built.factories != _SUITES:
+        _import_suites()
+        factories = dict(_SUITES)
+        suites = {name: tuple(factory())
+                  for name, factory in sorted(factories.items())}
+        cases = tuple(case for group in suites.values() for case in group)
+        by_name: Dict[str, LitmusCase] = {}
+        for case in cases:
+            by_name.setdefault(case.name, case)
+        _built = _Registry(factories, suites, cases, by_name)
+    return _built
+
+
 def load_suite(name: str) -> List[LitmusCase]:
-    """Instantiate a registered suite by name."""
-    _import_suites()
-    return _SUITES[name]()
+    """The cases of a registered suite, by name."""
+    return list(_registry().suites[name])
 
 
 def all_suites() -> Dict[str, List[LitmusCase]]:
-    _import_suites()
-    return {name: factory() for name, factory in sorted(_SUITES.items())}
+    return {name: list(cases)
+            for name, cases in _registry().suites.items()}
 
 
 def all_cases() -> List[LitmusCase]:
-    out: List[LitmusCase] = []
-    for cases in all_suites().values():
-        out.extend(cases)
-    return out
+    return list(_registry().cases)
 
 
 def find_case(name: str) -> LitmusCase:
-    for case in all_cases():
-        if case.name == name:
-            return case
-    raise KeyError(name)
+    return _registry().by_name[name]
 
 
 def expected_repair_status(case: LitmusCase) -> str:

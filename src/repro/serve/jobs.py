@@ -83,11 +83,10 @@ def resolve_project(spec: Mapping[str, Any]) -> Project:
     name = spec.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("name spec needs a non-empty 'name'")
-    from ..casestudies import all_case_studies
-    for study in all_case_studies():
-        for variant in study.variants():
-            if variant.name == name:
-                return Project.from_variant(variant, options=options)
+    from ..casestudies import find_variant
+    variant = find_variant(name)
+    if variant is not None:
+        return Project.from_variant(variant, options=options)
     try:
         return Project.from_litmus(name, options=options)
     except KeyError:

@@ -41,7 +41,7 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..api.analyses import get_analysis
+from ..api.analyses import get_analysis, restate_ignored
 from ..obs import MetricsRegistry
 from . import protocol
 from .jobs import effective_options, resolve_project, run_job
@@ -298,7 +298,8 @@ class ReproServer:
         analysis_name = params.get("analysis", "pitchfork")
         overrides = dict(params.get("options") or {})
         try:
-            analysis = get_analysis(analysis_name).name
+            analyzer = get_analysis(analysis_name)
+            analysis = analyzer.name
             project = resolve_project(spec)
             options = effective_options(project, overrides)
         except KeyError as exc:
@@ -327,6 +328,11 @@ class ReproServer:
             self.memory_hits += 1
             self.metrics.counter("serve_memory_hits_total").inc()
         if cached is not None:
+            # The *_ignored details are this request's, as run_job
+            # would compute them for this spec and these overrides.
+            ignored = analyzer.ignored(project.preset, options)
+            cached = {**cached, "details": restate_ignored(
+                cached["details"], ignored)}
             job = self._new_job(key, project.name, analysis, spec, overrides)
             job.state = DONE
             job.source = source

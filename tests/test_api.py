@@ -203,6 +203,50 @@ class TestAnalysisManager:
         with pytest.raises(ValueError):
             AnalysisManager("pitchfork", workers=0)
 
+    def test_cache_hits_carry_this_requests_ignored_knobs(self, tmp_path):
+        """Both requests run kocher_01 at bound 5, so they share a cache
+        key, but only the first one set the bound metatheory ignores."""
+        from repro.serve import strip_volatile
+        case = find_case("kocher_01")
+        preset_bound = Project.from_litmus(
+            "kocher_01", options=AnalysisOptions.for_case(case, bound=5))
+        fresh = AnalysisManager("metatheory").run([preset_bound])[0]
+        assert not any(k.endswith("_ignored") for k in fresh.details)
+
+        store = str(tmp_path / "store")
+        manager = AnalysisManager("metatheory", store=store)
+        first = manager.run([Project.from_litmus("kocher_01")], bound=5)[0]
+        assert first.details["bound_ignored"] == 5
+        memory_hit = manager.run([preset_bound])[0]
+        disk_hit = AnalysisManager("metatheory", store=store).run(
+            [preset_bound])[0]
+        assert manager.cache_info.hits == 1
+        for hit in (memory_hit, disk_hit):
+            assert strip_volatile(hit.to_dict()) \
+                == strip_volatile(fresh.to_dict())
+        again = manager.run([Project.from_litmus("kocher_01")], bound=5)[0]
+        assert again.details == first.details
+
+
+class TestCacheAttack:
+    """The cache-attack analysis folds the first violating trace into
+    the cache model and reports what an attacker can probe."""
+
+    def test_leaky_case_reports_its_probeable_footprint(self):
+        report = Project.from_litmus("kocher_01").run("cache-attack")
+        assert report.status == "insecure"
+        assert report.details["probeable_addresses"] \
+            == ["0x20", "0x45", "0x132"]
+        assert report.details["lines_touched"] == 3
+        assert report.details["cache_hits"] == 0
+        assert report.details["cache_misses"] == 3
+
+    def test_clean_case_reports_no_footprint(self):
+        report = Project.from_litmus("v1_fig8_fence").run("cache-attack")
+        assert report.status == "secure"
+        assert not {"probeable_addresses", "lines_touched", "cache_hits",
+                    "cache_misses"} & set(report.details)
+
 
 class TestCLI:
     def test_list(self, capsys):

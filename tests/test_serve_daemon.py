@@ -281,6 +281,44 @@ def test_preset_spec_resolves_like_the_cli(client):
         == strip_volatile(direct.to_dict())
 
 
+def test_cache_hits_carry_this_requests_ignored_knobs(tmp_path):
+    """A ``table2``-preset request with overrides back to kocher_01's
+    own knobs shares the plain request's store key, but it set the
+    bound (and caps) that metatheory ignores: a memory or store hit
+    says so, as a fresh run of that request would."""
+    from dataclasses import fields
+    from repro.api import AnalysisOptions
+    plain = {"kind": "name", "name": "kocher_01"}
+    via_preset = {**plain, "preset": "table2"}
+    own, table2 = Project.from_litmus("kocher_01").options, \
+        AnalysisOptions.table2()
+    overrides = {f.name: getattr(own, f.name)
+                 for f in fields(AnalysisOptions)
+                 if getattr(own, f.name) != getattr(table2, f.name)}
+    direct = strip_volatile(Project.from_litmus(
+        "kocher_01", options=table2).run("metatheory", **overrides)
+        .to_dict())
+    assert direct["details"]["bound_ignored"] == own.bound
+
+    sock, store = str(tmp_path / "i.sock"), str(tmp_path / "store")
+    with start_in_thread(socket_path=sock, store=store, workers=1):
+        with ServeClient(socket_path=sock) as c:
+            first, _ = c.submit_and_wait(plain, analysis="metatheory")
+            assert not any(k.endswith("_ignored") for k in first.details)
+            hit, cache = c.submit_and_wait(via_preset, analysis="metatheory",
+                                           options=overrides)
+            assert cache["source"] == "memory"
+            assert strip_volatile(hit.to_dict()) == direct
+            again, _ = c.submit_and_wait(plain, analysis="metatheory")
+            assert again.details == first.details
+    with start_in_thread(socket_path=sock, store=store, workers=1):
+        with ServeClient(socket_path=sock) as c:
+            hit, cache = c.submit_and_wait(via_preset, analysis="metatheory",
+                                           options=overrides)
+            assert cache["source"] == "store"
+            assert strip_volatile(hit.to_dict()) == direct
+
+
 # -- store tier across restarts ----------------------------------------------
 
 
