@@ -11,7 +11,7 @@ Run:  python examples/spectre_zoo.py
 """
 
 from repro.api import Project
-from repro.core import render_execution, run, secret_observations
+from repro.core import Machine, render_execution, run, secret_observations
 from repro.litmus import all_cases
 
 
@@ -27,8 +27,9 @@ def main() -> None:
         # (bound, fwd hazards, aliasing, indirect targets) into options.
         project = Project.from_litmus(case)
         if case.attack_schedule:
-            res = run(project.machine(), project.config(),
-                      case.attack_schedule)
+            machine = Machine(project.program,
+                              rsb_policy=project.options.rsb_policy)
+            res = run(machine, project.config(), case.attack_schedule)
             print(render_execution(res, show_quiet_steps=False))
             leaks = secret_observations(res.trace)
             print(f"  secret observations: {leaks or 'none'}")

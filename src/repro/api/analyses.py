@@ -107,21 +107,22 @@ def _ignore_knobs(options: AnalysisOptions,
     return replace(options, **reset) if reset else options
 
 
-def restate_ignored(details: Mapping[str, Any],
-                    ignored: Mapping[str, Any]) -> Mapping[str, Any]:
-    """``details`` with its ``*_ignored`` entries replaced by
-    ``ignored`` (``details`` itself when they are equal).
+def restate_ignored(report: Report,
+                    ignored: Mapping[str, Any]) -> Report:
+    """``report`` with its ``*_ignored`` details replaced by ``ignored``
+    (``report`` itself when they are equal).
 
     A cached report answers every request with the same effective
     options, but what a request *set*, and so what it is told was
     ignored, depends on how it split into preset and overrides.
     """
+    details = report.details
     old = {k: v for k, v in details.items() if k.endswith("_ignored")}
     if old == ignored:
-        return details
+        return report
     kept = {k: v for k, v in details.items() if k not in old}
     kept.update(ignored)
-    return kept
+    return report.with_(details=kept)
 
 
 class Analysis:
@@ -156,9 +157,7 @@ class Analysis:
         report = self._run(project, _ignore_knobs(options, self.ignores))
         if report.wall_time == 0.0:
             report = report.with_(wall_time=time.perf_counter() - t0)
-        if ignored:
-            report = report.with_(details={**report.details, **ignored})
-        return report
+        return restate_ignored(report, ignored)
 
     def _run(self, project: Project, options: AnalysisOptions) -> Report:
         raise NotImplementedError

@@ -6,22 +6,25 @@ litmus sweeps from serial loops into a worker-pool fan-out:
 * ``workers=N`` runs tasks on a ``ProcessPoolExecutor`` (results are
   identical to the serial path — each task is a pure function of
   (program, config, options));
-* an in-memory result cache keyed on the *cross-process stable*
-  ``(analysis, target digest, canonical options)`` key (see
-  :mod:`repro.serve.keys`) makes repeated sweeps (bound ablations,
-  re-renders) free;
-* ``store=`` adds a second, persistent tier — a
+* a :class:`~repro.serve.store.ReportCache` keyed on the
+  *cross-process stable* store key of (analysis, target digest,
+  canonical options) (see :mod:`repro.serve.keys`) makes repeated
+  sweeps (bound ablations, re-renders) free;
+* ``store=`` adds a second, persistent tier under that memory map — a
   :class:`~repro.serve.store.ResultStore` shared with the serve daemon
   — so batch runs survive process restarts: a rerun of yesterday's
   sweep reads yesterday's reports off disk instead of re-exploring.
 
 Lookup order is memory → disk → compute; every tier's traffic is
 counted in :class:`CacheInfo` (``hits``/``disk_hits``/``misses``/
-``stores``) so cache effectiveness is observable, not guessed.
+``stores``) so cache effectiveness is observable, not guessed.  Every
+answer, whichever tier gave it, then carries the ``*_ignored`` details
+of its own request (:func:`~repro.api.analyses.restate_ignored`).
 
 Projects are shipped to workers as plain ``(name, program, config,
-options)`` payloads — the configuration is materialised in the parent,
-so ``make_config`` closures never need to pickle.
+options)`` payloads, options already resolved — the configuration is
+materialised in the parent, so ``make_config`` closures never need to
+pickle.
 """
 
 from __future__ import annotations
@@ -37,16 +40,17 @@ from .report import Report
 
 
 def _run_payload(analysis_name: str, name: str, program, config,
-                 options: AnalysisOptions, overrides: Dict) -> Report:
+                 options: AnalysisOptions) -> Report:
     """Worker entry point: rebuild the project and run the analysis
-    with the per-call ``overrides`` (which it reports when it ignores
-    them).
+    under ``options``.
 
-    Module-level (not a closure) so it pickles under every
+    The rebuilt project's preset is ``options`` itself, so the report
+    says nothing ignored; the parent restates that for the caller's
+    project.  Module-level (not a closure) so it pickles under every
     multiprocessing start method.
     """
     project = Project(program, config, name=name, options=options)
-    return get_analysis(analysis_name).run(project, **overrides)
+    return get_analysis(analysis_name).run(project)
 
 
 @dataclass
@@ -93,76 +97,43 @@ class AnalysisManager:
 
     def __init__(self, analysis: str = "pitchfork",
                  workers: Optional[int] = None,
-                 cache: bool = True,
                  store: Optional[Union[str, "ResultStore"]] = None):
+        from ..serve.store import ReportCache, ResultStore
         self._analysis = get_analysis(analysis)
         self.analysis = self._analysis.name
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
         self.workers = workers
-        self._cache_enabled = cache
-        self._cache: Dict[Tuple, Report] = {}
-        self._info = CacheInfo()
         if isinstance(store, str):
-            from ..serve.store import ResultStore
             store = ResultStore(store)
         self.store = store
+        self._cache = ReportCache(store)
+        self._misses = 0
 
     # -- the batch entry point -----------------------------------------------
 
-    def run(self, projects: Iterable[Project],
-            options: Optional[AnalysisOptions] = None,
-            **overrides) -> List[Report]:
-        """Run the analysis on every project, in input order.
-
-        Each project runs under its own options unless ``options`` (a
-        shared override) or keyword overrides are given.
-        """
+    def run(self, projects: Iterable[Project], **overrides) -> List[Report]:
+        """Run the analysis on every project, in input order, each
+        under its own options with the keyword overrides applied."""
+        from ..serve.keys import fingerprint_digest, store_key
         projects = list(projects)
         tracer = ambient_tracer()
         run_ts = tracer.start() if tracer.enabled else 0.0
-        hits_before = self._info.hits
-        disk_before = self._info.disk_hits
-        payloads = [(project.name, project.program, project.config(),
-                     options if options is not None else project.options,
-                     overrides)
-                    for project in projects]
-        keys = [self._key(project, base.with_(**overrides))
-                for project, (_, _, _, base, _) in zip(projects, payloads)]
-
-        results: Dict[int, Report] = {}
-        pending: List[int] = []
-        for i, key in enumerate(keys):
-            if not self._cache_enabled:
-                pending.append(i)
-                continue
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._info.hits += 1
-            else:
-                cached = self._from_store(key)
-                if cached is None:
-                    pending.append(i)
-                    continue
-                self._info.disk_hits += 1
-                self._cache[key] = cached
-            # The worker's project is built with the payload's options
-            # as its preset (see _run_payload).
-            base = payloads[i][3]
-            details = restate_ignored(cached.details, self._analysis.ignored(
-                base, base.with_(**overrides)))
-            results[i] = cached if details is cached.details \
-                else cached.with_(details=details)
-        self._info.misses += len(pending)
-
-        if pending:
-            fresh = self._execute([payloads[i] for i in pending])
-            for i, report in zip(pending, fresh):
-                results[i] = report
-                if self._cache_enabled:
-                    self._cache[keys[i]] = report
-                self._to_store(keys[i], report)
-        self._info.size = len(self._cache)
+        memory_before = self._cache.memory_hits
+        disk_before = self._cache.store_hits
+        options = [project.options.with_(**overrides)
+                   for project in projects]
+        keys = [store_key(self.analysis, fingerprint_digest(project), opts)
+                for project, opts in zip(projects, options)]
+        reports = [self._cache.get(key)[0] for key in keys]
+        pending = [i for i, report in enumerate(reports) if report is None]
+        self._misses += len(pending)
+        fresh = self._execute([(projects[i].name, projects[i].program,
+                                projects[i].config(), options[i])
+                               for i in pending])
+        for i, report in zip(pending, fresh):
+            reports[i] = report
+            self._cache.put(keys[i], report, analysis=self.analysis)
         if tracer.enabled:
             # One span per batch: which tier answered how many targets
             # (computed = cold misses actually executed this call).
@@ -170,10 +141,12 @@ class AnalysisManager:
                 "analysis": self.analysis,
                 "projects": len(projects),
                 "computed": len(pending),
-                "memory_hits": self._info.hits - hits_before,
-                "disk_hits": self._info.disk_hits - disk_before,
+                "memory_hits": self._cache.memory_hits - memory_before,
+                "disk_hits": self._cache.store_hits - disk_before,
                 "workers": self.workers or 1})
-        return [results[i] for i in range(len(projects))]
+        return [restate_ignored(report, self._analysis.ignored(
+                    project.preset, opts))
+                for report, project, opts in zip(reports, projects, options)]
 
     def run_one(self, project: Project, **overrides) -> Report:
         return self.run([project], **overrides)[0]
@@ -188,47 +161,21 @@ class AnalysisManager:
                 return [f.result() for f in futures]
         return [_run_payload(self.analysis, *p) for p in payloads]
 
-    # -- the persistent tier ---------------------------------------------------
-
-    def _from_store(self, key: Tuple) -> Optional[Report]:
-        if self.store is None:
-            return None
-        return self.store.get(self._store_key(key))
-
-    def _to_store(self, key: Tuple, report: Report) -> None:
-        if self.store is None:
-            return
-        self.store.put(self._store_key(key), report,
-                       analysis=self.analysis)
-        self._info.stores += 1
-
-    @staticmethod
-    def _store_key(key: Tuple) -> str:
-        from ..serve.keys import store_key
-        analysis, fingerprint, canon = key
-        return store_key(analysis, fingerprint, canon)
-
     # -- cache management -------------------------------------------------------
-
-    def _key(self, project: Project, options: AnalysisOptions) -> Tuple:
-        """The cross-process stable cache key.
-
-        Canonical options (sorted non-default fields) + the SHA-256
-        target digest: equivalent option objects and identical targets
-        built in different processes map to the same key, which is what
-        lets the disk tier serve results computed elsewhere.
-        """
-        from ..serve.keys import canonical_options, fingerprint_digest
-        return (self.analysis, fingerprint_digest(project),
-                canonical_options(options))
 
     @property
     def cache_info(self) -> CacheInfo:
-        return self._info
+        # Every computed report is filed in the store, when there is one.
+        return CacheInfo(hits=self._cache.memory_hits, misses=self._misses,
+                         size=len(self._cache),
+                         disk_hits=self._cache.store_hits,
+                         stores=self._misses if self.store is not None
+                         else 0)
 
     def clear_cache(self) -> None:
-        self._cache.clear()
-        self._info = CacheInfo()
+        from ..serve.store import ReportCache
+        self._cache = ReportCache(self.store)
+        self._misses = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"AnalysisManager({self.analysis!r}, "

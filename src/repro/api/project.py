@@ -21,7 +21,6 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..asm import assemble
 from ..core.config import Config
-from ..core.machine import Machine
 from ..core.memory import Memory
 from ..core.program import Program
 from ..mitigate.synth import SynthesisOptions
@@ -198,10 +197,6 @@ class Project:
         """A fresh initial configuration."""
         return self._config if self._config is not None \
             else self._make_config()
-
-    def machine(self) -> Machine:
-        """A machine for this target honouring the RSB policy option."""
-        return Machine(self.program, rsb_policy=self.options.rsb_policy)
 
     @property
     def analyses(self):

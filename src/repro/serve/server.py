@@ -7,10 +7,11 @@ owned resources:
   once, health-checked, drained on shutdown.  Every job runs *whole* on
   a warm worker (no process spawn per call), so parallelism is across
   jobs, never within one;
-* a :class:`~repro.serve.store.ResultStore` — every computed report is
+* a :class:`~repro.serve.store.ReportCache` over a
+  :class:`~repro.serve.store.ResultStore` — every computed report is
   filed under its ``(fingerprint, analysis, options)`` content address;
-  a warm resubmission is answered from the store (or the in-process
-  memory tier above it) without ever touching the pool;
+  a warm resubmission is answered from the in-process memory tier or
+  the store without ever touching the pool;
 * a job table with streaming progress — each job publishes its state
   changes into the job record, which ``status`` polls page through
   with a cursor.
@@ -39,15 +40,16 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..api.analyses import get_analysis, restate_ignored
+from ..api.report import Report
 from ..obs import MetricsRegistry
 from . import protocol
 from .jobs import effective_options, resolve_project, run_job
 from .keys import fingerprint_digest, store_key
 from .pool import WarmPool
-from .store import ResultStore
+from .store import ReportCache, ResultStore
 
 __all__ = ["ReproServer", "Job", "ServerHandle", "start_in_thread",
            "default_socket_path"]
@@ -56,9 +58,9 @@ __all__ = ["ReproServer", "Job", "ServerHandle", "start_in_thread",
 QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
     "queued", "running", "done", "failed", "cancelled")
 
-#: Where a finished job's report came from.
-SOURCE_COMPUTED, SOURCE_STORE, SOURCE_MEMORY = (
-    "computed", "store", "memory")
+#: Where a computed job's report came from (a cache hit's source is
+#: its tier's: ``"memory"`` or ``"store"``).
+SOURCE_COMPUTED = "computed"
 
 
 def default_socket_path() -> str:
@@ -81,6 +83,8 @@ class Job:
     analysis: str
     spec: Dict[str, Any]
     overrides: Dict[str, Any]
+    #: The ``*_ignored`` details this request's answer carries.
+    ignored: Dict[str, Any]
     state: str = QUEUED
     source: str = SOURCE_COMPUTED
     report: Optional[Dict[str, Any]] = None
@@ -99,6 +103,11 @@ class Job:
     #: The pool future (cancellable while queued; a running worker
     #: job finishes and has its result dropped).
     future: Any = field(default=None, repr=False)
+
+    @property
+    def answer_key(self) -> Tuple:
+        """Submits with equal answer keys get the same answer."""
+        return self.key, tuple(sorted(self.ignored.items()))
 
     def add_event(self, event: Dict[str, Any]) -> None:
         """Append a progress event, numbered densely by ``seq``."""
@@ -140,6 +149,7 @@ class ReproServer:
         if isinstance(store, str):
             store = ResultStore(store)
         self.store: Optional[ResultStore] = store
+        self.cache = ReportCache(store)
         #: Aggregated counters/gauges/histograms for the ``metrics``
         #: RPC; gauges are sampled every ``metrics_interval`` seconds
         #: and refreshed on-demand per request.  Created before the
@@ -148,8 +158,8 @@ class ReproServer:
         self.metrics_interval = metrics_interval
         self.pool = WarmPool(workers, metrics=self.metrics)
         self._jobs: Dict[str, Job] = {}
-        self._active_by_key: Dict[str, str] = {}
-        self._memory: Dict[str, Dict[str, Any]] = {}
+        #: In-flight job id by :attr:`Job.answer_key`.
+        self._active_by_key: Dict[Tuple, str] = {}
         self._seq = itertools.count(1)
         self._tasks: set = set()
         self._server: Optional[asyncio.AbstractServer] = None
@@ -158,8 +168,6 @@ class ReproServer:
         self._draining = False
         self._shutdown_task: Optional[asyncio.Task] = None
         self._started_at = time.time()
-        self.memory_hits = 0
-        self.store_hits = 0
         self.jobs_computed = 0
         self.jobs_coalesced = 0
         self._sampler_task: Optional[asyncio.Task] = None
@@ -311,50 +319,32 @@ class ReproServer:
                                       str(exc)) from None
         key = store_key(analysis, fingerprint_digest(project), options)
         self.metrics.counter("serve_jobs_submitted_total").inc()
+        job = Job(id="", key=key, target=project.name, analysis=analysis,
+                  spec=dict(spec), overrides=overrides,
+                  ignored=analyzer.ignored(project.preset, options))
 
-        # Warm tiers first: the in-process memory cache, then the disk
-        # store.  Either answers without touching the pool at all.
-        cached = self._memory.get(key)
-        source = SOURCE_MEMORY
-        if cached is None and self.store is not None:
-            stored = self.store.get(key)
-            if stored is not None:
-                cached = stored.to_dict()
-                self._memory[key] = cached
-                source = SOURCE_STORE
-                self.store_hits += 1
-                self.metrics.counter("serve_store_hits_total").inc()
-        elif cached is not None:
-            self.memory_hits += 1
-            self.metrics.counter("serve_memory_hits_total").inc()
+        # Warm tiers first: either answers without touching the pool.
+        cached, source = self.cache.get(key)
         if cached is not None:
-            # The *_ignored details are this request's, as run_job
-            # would compute them for this spec and these overrides.
-            ignored = analyzer.ignored(project.preset, options)
-            cached = {**cached, "details": restate_ignored(
-                cached["details"], ignored)}
-            job = self._new_job(key, project.name, analysis, spec, overrides)
-            job.state = DONE
-            job.source = source
-            job.report = cached
-            job.started = job.finished = time.time()
-            job.violations_so_far = len(cached.get("violations", ()))
+            self.metrics.counter(f"serve_{source}_hits_total").inc()
+            self._file(job)
+            job.started = time.time()
+            self._answer(job, cached, source)
             job.add_event({"kind": "state", "state": DONE, "source": source})
             return {**job.public_state(), "cached": True}
 
-        # Coalesce identical in-flight work onto one computation.
-        active_id = self._active_by_key.get(key)
-        if active_id is not None:
-            active = self._jobs.get(active_id)
-            if active is not None and active.state in (QUEUED, RUNNING):
-                self.jobs_coalesced += 1
-                self.metrics.counter("serve_jobs_coalesced_total").inc()
-                return {**active.public_state(), "cached": False,
-                        "coalesced": True}
+        # Coalesce identical in-flight work onto one computation, but
+        # only when its answer, *_ignored details included, is ours.
+        active = self._jobs.get(self._active_by_key.get(job.answer_key))
+        if active is not None and active.state in (QUEUED, RUNNING):
+            self.jobs_coalesced += 1
+            self.metrics.counter("serve_jobs_coalesced_total").inc()
+            return {**active.public_state(), "cached": False,
+                    "coalesced": True}
 
-        job = self._new_job(key, project.name, analysis, spec, overrides)
+        self._file(job)
         job.add_event({"kind": "state", "state": QUEUED})
-        self._active_by_key[key] = job.id
+        self._active_by_key[job.answer_key] = job.id
         task = self._loop.create_task(
             self._run_job(job))
         self._tasks.add(task)
@@ -462,7 +452,7 @@ class ReproServer:
         self.metrics.gauge("serve_jobs_inflight").set(
             sum(1 for j in self._jobs.values()
                 if j.state in (QUEUED, RUNNING)))
-        warm = self.memory_hits + self.store_hits
+        warm = self.cache.memory_hits + self.cache.store_hits
         answered = warm + self.jobs_computed
         self.metrics.gauge("serve_cache_hit_ratio").set(
             warm / answered if answered else 0.0)
@@ -477,12 +467,20 @@ class ReproServer:
 
     # -- job execution -------------------------------------------------------
 
-    def _new_job(self, key: str, target: str, analysis: str,
-                 spec: Dict[str, Any], overrides: Dict[str, Any]) -> Job:
-        job = Job(id=f"job-{next(self._seq)}", key=key, target=target,
-                  analysis=analysis, spec=dict(spec), overrides=overrides)
+    def _file(self, job: Job) -> None:
+        """Number ``job`` and enter it in the job table."""
+        job.id = f"job-{next(self._seq)}"
         self._jobs[job.id] = job
-        return job
+
+    def _answer(self, job: Job, report: Report, source: str) -> None:
+        """Finish ``job`` with ``report``, restated for its request:
+        the one place a daemon answer gets its ``*_ignored`` details."""
+        report = restate_ignored(report, job.ignored)
+        job.finished = time.time()
+        job.state = DONE
+        job.source = source
+        job.report = report.to_dict()
+        job.violations_so_far = len(report.violations)
 
     def _job(self, params: Dict[str, Any]) -> Job:
         job_id = params.get("job")
@@ -493,8 +491,8 @@ class ReproServer:
         return job
 
     def _cache_counters(self, source: Optional[str]) -> Dict[str, Any]:
-        counters = {"memory_hits": self.memory_hits,
-                    "store_hits": self.store_hits,
+        counters = {"memory_hits": self.cache.memory_hits,
+                    "store_hits": self.cache.store_hits,
                     "computed": self.jobs_computed,
                     "coalesced": self.jobs_coalesced}
         if source is not None:
@@ -538,38 +536,30 @@ class ReproServer:
                            "error_traceback": job.error_traceback})
             return
         finally:
-            if self._active_by_key.get(job.key) == job.id:
-                del self._active_by_key[job.key]
-        job.finished = time.time()
-        report_dict = report.to_dict()
+            if self._active_by_key.get(job.answer_key) == job.id:
+                del self._active_by_key[job.answer_key]
         if job.cancel_requested:
             # The computation finished before the cancel took effect;
             # honour the cancel (drop the result from the job) but keep
             # the deterministic report for future warm hits.
+            job.finished = time.time()
             job.state = CANCELLED
             job.error = "cancelled"
         else:
-            job.state = DONE
-            job.report = report_dict
-            job.violations_so_far = len(report_dict.get("violations", ()))
+            self._answer(job, report, SOURCE_COMPUTED)
         self.jobs_computed += 1
         self.metrics.counter("serve_jobs_computed_total").inc()
         self.metrics.histogram("serve_job_wall_seconds").observe(
             job.finished - job.started)
-        self._memory[job.key] = report_dict
-        if self.store is not None:
-            self.store.put(job.key, report, target=job.target,
-                           analysis=job.analysis)
+        self.cache.put(job.key, report, target=job.target,
+                       analysis=job.analysis)
         job.add_event({"kind": "state", "state": job.state,
                        "source": job.source,
                        "violations": job.violations_so_far,
                        "engine": {
-                           "paths_explored":
-                               report_dict.get("paths_explored", 0),
-                           "states_stepped":
-                               report_dict.get("states_stepped", 0),
-                           "states_reused":
-                               report_dict.get("states_reused", 0)}})
+                           "paths_explored": report.paths_explored,
+                           "states_stepped": report.states_stepped,
+                           "states_reused": report.states_reused}})
 
 
 # -- in-process harness -------------------------------------------------------

@@ -30,6 +30,9 @@ The store is safe for concurrent readers and writer processes: the only
 mutation is an atomic rename (last writer wins — both writers hold the
 same deterministic result, so the race is benign), and the index is
 rewritten atomically on the same rule.
+
+:class:`ReportCache` puts an in-process memory tier in front of a
+store; it is the one tier walk of the manager and the daemon.
 """
 
 from __future__ import annotations
@@ -40,11 +43,11 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..api.report import Report
 
-__all__ = ["ResultStore", "StoreStats", "STORE_VERSION"]
+__all__ = ["ResultStore", "ReportCache", "StoreStats", "STORE_VERSION"]
 
 #: Version of the on-disk envelope shape.
 STORE_VERSION = 1
@@ -279,3 +282,48 @@ class ResultStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ResultStore({self.root!r}, {len(self)} entries)"
+
+
+class ReportCache:
+    """The two cache tiers in front of an analysis: an in-process memory
+    map over an optional :class:`ResultStore`, both keyed by
+    :func:`~repro.serve.keys.store_key`.
+
+    The one tier walk shared by :class:`~repro.api.manager
+    .AnalysisManager` and the serve daemon.  A cached report answers
+    every request with the same effective options, so the caller
+    restates its ``*_ignored`` details for the request it answers
+    (:func:`~repro.api.analyses.restate_ignored`).
+    """
+
+    def __init__(self, store: Optional[ResultStore] = None):
+        self.store = store
+        self._memory: Dict[str, Report] = {}
+        self.memory_hits = 0
+        self.store_hits = 0
+
+    def get(self, key: str) -> Tuple[Optional[Report], Optional[str]]:
+        """``(report, source)``: memory first, then the store (a store
+        hit is copied into memory), with ``source`` ``"memory"`` or
+        ``"store"``; ``(None, None)`` on a miss."""
+        report = self._memory.get(key)
+        if report is not None:
+            self.memory_hits += 1
+            return report, "memory"
+        if self.store is not None:
+            report = self.store.get(key)
+            if report is not None:
+                self.store_hits += 1
+                self._memory[key] = report
+                return report, "store"
+        return None, None
+
+    def put(self, key: str, report: Report, **meta: Any) -> None:
+        """File ``report`` in memory and in the store (``meta`` is the
+        store envelope's ``target``/``analysis``)."""
+        self._memory[key] = report
+        if self.store is not None:
+            self.store.put(key, report, **meta)
+
+    def __len__(self) -> int:
+        return len(self._memory)

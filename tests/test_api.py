@@ -228,6 +228,26 @@ class TestAnalysisManager:
         assert again.details == first.details
 
 
+    def test_manager_restates_against_the_projects_preset(self, tmp_path):
+        """``with_options`` keeps the case's knobs as the preset, so the
+        bound it sets is one metatheory ignores, and says so, on every
+        path through the manager."""
+        project = Project.from_litmus("kocher_01").with_options(bound=5)
+        assert project.run("metatheory").details["bound_ignored"] == 5
+        other = Project.from_litmus("kocher_02").with_options(bound=5)
+        store = str(tmp_path / "store")
+        manager = AnalysisManager("metatheory", store=store)
+        serial = manager.run([project])[0]
+        memory_hit = manager.run([project])[0]
+        store_hit = AnalysisManager("metatheory", store=store).run(
+            [project])[0]
+        parallel = AnalysisManager("metatheory", workers=2).run(
+            [project, other])
+        assert manager.cache_info.hits == 1
+        for report in (serial, memory_hit, store_hit, *parallel):
+            assert report.details["bound_ignored"] == 5
+
+
 class TestCacheAttack:
     """The cache-attack analysis folds the first violating trace into
     the cache model and reports what an attacker can probe."""

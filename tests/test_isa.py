@@ -113,8 +113,6 @@ class TestOneEvaluator:
         from repro.sps import explore_sps
         project = Project.from_litmus("kocher_01")
         with pytest.raises(TypeError):
-            project.machine(evaluator=isa)
-        with pytest.raises(TypeError):
             analyze(project.program, project.config(), evaluator=isa)
         with pytest.raises(TypeError):
             explore_sps(project.program, project.config(), evaluator=isa)

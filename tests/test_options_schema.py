@@ -194,7 +194,7 @@ class TestTheRecordReachesTheExplorer:
 
     def test_manager_reports_the_overrides_it_passes(self):
         project = Project.from_litmus("kocher_01")
-        manager = AnalysisManager("metatheory", cache=False)
+        manager = AnalysisManager("metatheory")
         (plain,) = manager.run([project])
         assert not [k for k in plain.details if k.endswith("_ignored")]
         (report,) = manager.run([project], strategy="random", bound=5)

@@ -319,6 +319,43 @@ def test_cache_hits_carry_this_requests_ignored_knobs(tmp_path):
             assert strip_volatile(hit.to_dict()) == direct
 
 
+def test_a_submit_joins_only_inflight_work_with_its_own_answer(tmp_path):
+    """kocher_05 under metatheory, plain and then, while that job runs,
+    as the ``table2`` preset with overrides back to the case's knobs:
+    one store key, but only the second request set the bound and caps
+    metatheory ignores, so it must not be handed the first job's
+    answer."""
+    from dataclasses import fields
+    from repro.api import AnalysisOptions
+    plain = {"kind": "name", "name": "kocher_05"}
+    own, table2 = Project.from_litmus("kocher_05").options, \
+        AnalysisOptions.table2()
+    slow = {"experiments": 2000}
+    overrides = {f.name: getattr(own, f.name)
+                 for f in fields(AnalysisOptions)
+                 if getattr(own, f.name) != getattr(table2, f.name)}
+    overrides.update(slow)
+    direct = strip_volatile(Project.from_litmus(
+        "kocher_05", options=table2).run("metatheory", **overrides)
+        .to_dict())
+    assert {k: v for k, v in direct["details"].items()
+            if k.endswith("_ignored")} == {
+        "bound_ignored": 40, "fwd_hazards_ignored": False,
+        "max_paths_ignored": 8000}
+
+    with start_in_thread(socket_path=str(tmp_path / "c.sock"),
+                         workers=2):
+        with ServeClient(socket_path=str(tmp_path / "c.sock")) as c:
+            first = c.submit(plain, analysis="metatheory", options=slow)
+            second = c.submit({**plain, "preset": "table2"},
+                              analysis="metatheory", options=overrides)
+            assert c.status(first["job"])["state"] in ("queued", "running")
+            assert second["job"] != first["job"]
+            report, _ = c.wait(second["job"])
+            c.wait(first["job"])
+    assert strip_volatile(report.to_dict()) == direct
+
+
 # -- store tier across restarts ----------------------------------------------
 
 
