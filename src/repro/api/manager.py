@@ -15,11 +15,12 @@ litmus sweeps from serial loops into a worker-pool fan-out:
   — so batch runs survive process restarts: a rerun of yesterday's
   sweep reads yesterday's reports off disk instead of re-exploring.
 
-Lookup order is memory → disk → compute; every tier's traffic is
-counted in :class:`CacheInfo` (``hits``/``disk_hits``/``misses``/
-``stores``) so cache effectiveness is observable, not guessed.  Every
-answer, whichever tier gave it, then carries the ``*_ignored`` details
-of its own request (:func:`~repro.api.analyses.restate_ignored`).
+Lookup order is memory → disk → compute, once per distinct key of a
+batch; every tier's traffic is counted in :class:`CacheInfo`
+(``hits``/``disk_hits``/``misses``/``stores``) so cache effectiveness
+is observable, not guessed.  Every answer, whichever tier gave it,
+then carries the ``*_ignored`` details of its own request
+(:func:`~repro.api.analyses.restate_ignored`).
 
 Projects are shipped to workers as plain ``(name, program, config,
 options)`` payloads, options already resolved — the configuration is
@@ -125,15 +126,22 @@ class AnalysisManager:
                    for project in projects]
         keys = [store_key(self.analysis, fingerprint_digest(project), opts)
                 for project, opts in zip(projects, options)]
-        reports = [self._cache.get(key)[0] for key in keys]
-        pending = [i for i, report in enumerate(reports) if report is None]
+        # Each distinct key is looked up, and on a miss computed, once:
+        # the first request of a key stands for its duplicates.
+        first: Dict[str, int] = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        answers = {key: self._cache.get(key)[0] for key in first}
+        pending = [first[key] for key, report in answers.items()
+                   if report is None]
         self._misses += len(pending)
         fresh = self._execute([(projects[i].name, projects[i].program,
                                 projects[i].config(), options[i])
                                for i in pending])
         for i, report in zip(pending, fresh):
-            reports[i] = report
+            answers[keys[i]] = report
             self._cache.put(keys[i], report, analysis=self.analysis)
+        reports = [answers[key] for key in keys]
         if tracer.enabled:
             # One span per batch: which tier answered how many targets
             # (computed = cold misses actually executed this call).

@@ -11,6 +11,14 @@ multiplexes connections).  The high-level helpers mirror the CLI verbs:
 ``wait`` polls ``status`` (cheap: the daemon answers from the job
 table) and pages through the streaming progress events, handing each to
 an optional callback as it arrives.
+
+A submit the daemon answers from its memory or store tier carries the
+answer in its reply (an optional ``result`` field, the payload the
+``result`` RPC returns).  The client keeps it for the job it just
+submitted, so ``result``/``result_dict`` for that job send no RPC, nor
+does ``wait`` without an event callback; its ``cache`` counters are a
+snapshot taken when the daemon answered.  A daemon that predates the
+field leaves it out, and the client asks over the wire as before.
 """
 
 from __future__ import annotations
@@ -79,12 +87,19 @@ class ServeClient:
         self.host, self.port = host, port
         self.timeout = timeout
         self._seq = 0
+        #: Job id -> result payload, for the last submit answered in
+        #: its own reply.
+        self._answered: Dict[str, Dict[str, Any]] = {}
         try:
             if socket_path is not None:
                 self._sock = socket.socket(socket.AF_UNIX,
                                            socket.SOCK_STREAM)
-                self._sock.settimeout(timeout)
-                self._sock.connect(socket_path)
+                try:
+                    self._sock.settimeout(timeout)
+                    self._sock.connect(socket_path)
+                except OSError:
+                    self._sock.close()
+                    raise
             else:
                 self._sock = socket.create_connection(
                     (host, port), timeout=timeout)
@@ -136,8 +151,11 @@ class ServeClient:
                analysis: str = "pitchfork",
                options: Optional[Mapping[str, Any]] = None
                ) -> Dict[str, Any]:
-        return self.call("submit", target=dict(target), analysis=analysis,
-                         options=dict(options or {}))
+        reply = self.call("submit", target=dict(target), analysis=analysis,
+                          options=dict(options or {}))
+        payload = reply.get("result")
+        self._answered = {} if payload is None else {reply["job"]: payload}
+        return reply
 
     def status(self, job_id: str, since: int = 0) -> Dict[str, Any]:
         return self.call("status", job=job_id, since=since)
@@ -145,12 +163,15 @@ class ServeClient:
     def result(self, job_id: str) -> Tuple[Report, Dict[str, Any]]:
         """The finished job's :class:`Report` plus the daemon's cache
         counters (``source``/``memory_hits``/``store_hits``/…)."""
-        result = self.call("result", job=job_id)
+        result = self.result_dict(job_id)
         return Report.from_dict(result["report"]), result.get("cache", {})
 
     def result_dict(self, job_id: str) -> Dict[str, Any]:
-        """The raw result payload (pristine report dict + cache)."""
-        return self.call("result", job=job_id)
+        """The raw result payload (pristine report dict + cache); no
+        RPC when the submit of ``job_id`` carried it."""
+        payload = self._answered.get(job_id)
+        return payload if payload is not None \
+            else self.call("result", job=job_id)
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         return self.call("cancel", job=job_id)
@@ -181,9 +202,13 @@ class ServeClient:
         """Poll until the job settles; return (report, cache counters).
 
         Streams progress: each new event is passed to ``on_event`` as
-        the poll that first sees it.  Raises :class:`ServeError` for
-        failed/cancelled jobs and ``TimeoutError`` on ``timeout``.
+        the poll that first sees it.  Without ``on_event``, a job whose
+        submit carried its answer is not polled.  Raises
+        :class:`ServeError` for failed/cancelled jobs and
+        ``TimeoutError`` on ``timeout``.
         """
+        if on_event is None and job_id in self._answered:
+            return self.result(job_id)
         deadline = None if timeout is None else time.monotonic() + timeout
         cursor = 0
         delay = poll

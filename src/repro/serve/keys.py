@@ -81,13 +81,38 @@ def _target_text(name: str, program, config) -> str:
     return "\n".join(lines)
 
 
+#: Digests of projects built from registry records, by ``(name,
+#: make_config)``, each with the record's ``program``.  The entry holds
+#: both record objects, so neither can be collected and its identity
+#: reused; a rebuilt registry's new records miss.
+_RECORD_DIGESTS: Dict[Tuple[str, Any], Tuple[Any, str]] = {}
+
+
 def fingerprint_digest(project) -> str:
     """SHA-256 hex digest of a project's (name, program, initial config).
 
     The cross-process form of :meth:`repro.api.project.Project
     .fingerprint`: equal digests ⇒ equal fingerprints ⇒ identical
     analysis results under equal options.
+
+    A project built from a registry record (a litmus case or a Table 2
+    cell: its configuration comes from the record's ``make_config``) is
+    digested once per process; an ``asm`` project, whose configuration
+    is a value, is digested on every call.
     """
+    make_config = project._make_config
+    if make_config is None:
+        return _digest(project)
+    memo_key = (project.name, make_config)
+    hit = _RECORD_DIGESTS.get(memo_key)
+    if hit is not None and hit[0] is project.program:
+        return hit[1]
+    digest = _digest(project)
+    _RECORD_DIGESTS[memo_key] = (project.program, digest)
+    return digest
+
+
+def _digest(project) -> str:
     text = _target_text(project.name, project.program, project.config())
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 

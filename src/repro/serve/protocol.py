@@ -13,6 +13,13 @@ Methods (see :class:`repro.serve.server.ReproServer`):
 ``ping``, ``submit``, ``status``, ``result``, ``cancel``, ``stats``,
 ``results`` (store listing) and ``shutdown``.
 
+A ``submit`` reply answered from the daemon's memory or store tier
+(``"cached": true``) also carries an optional ``result`` field: the
+payload a ``result`` call for that job returns, with its ``cache``
+counters a snapshot taken when the submit was answered.  The field is
+additive, so an older client ignores it and a newer client falls back
+to the ``result`` call when a daemon leaves it out.
+
 Error codes follow the JSON-RPC spec for transport errors and use the
 server range for domain errors (unknown job/target, draining, …).
 """

@@ -19,7 +19,8 @@ owned resources:
 RPC surface (JSON-RPC 2.0, newline-delimited; see
 :mod:`repro.serve.protocol`): ``ping``, ``submit``, ``status``,
 ``result``, ``cancel``, ``stats``, ``metrics``, ``results``,
-``shutdown``.
+``shutdown``.  A ``submit`` answered from a cache tier carries the
+``result`` payload in its reply, so a cached answer is one round trip.
 
 The daemon also keeps a :class:`~repro.obs.MetricsRegistry`: cache-tier
 and job counters, a job wall-time histogram, and gauges (pool size,
@@ -331,7 +332,9 @@ class ReproServer:
             job.started = time.time()
             self._answer(job, cached, source)
             job.add_event({"kind": "state", "state": DONE, "source": source})
-            return {**job.public_state(), "cached": True}
+            # The answer rides on the reply: no ``result`` round trip.
+            return {**job.public_state(), "cached": True,
+                    "result": self._result_payload(job)}
 
         # Coalesce identical in-flight work onto one computation, but
         # only when its answer, *_ignored details included, is ours.
@@ -370,9 +373,7 @@ class ReproServer:
                 protocol.JOB_FAILED,
                 job.error or f"job {job.id} was {job.state}",
                 data=job.public_state())
-        return {"job": job.id, "key": job.key, "report": job.report,
-                "source": job.source,
-                "cache": self._cache_counters(job.source)}
+        return self._result_payload(job)
 
     def rpc_cancel(self, params: Dict[str, Any]) -> Dict[str, Any]:
         job = self._job(params)
@@ -489,6 +490,13 @@ class ReproServer:
             raise protocol.ServeError(protocol.UNKNOWN_JOB,
                                       f"unknown job {job_id!r}")
         return job
+
+    def _result_payload(self, job: Job) -> Dict[str, Any]:
+        """A done job's answer, as ``result`` returns it and a cached
+        ``submit`` reply carries it (cache counters as of now)."""
+        return {"job": job.id, "key": job.key, "report": job.report,
+                "source": job.source,
+                "cache": self._cache_counters(job.source)}
 
     def _cache_counters(self, source: Optional[str]) -> Dict[str, Any]:
         counters = {"memory_hits": self.cache.memory_hits,

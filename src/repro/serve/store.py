@@ -4,7 +4,7 @@ Results are filed under the :func:`~repro.serve.keys.store_key` of their
 ``(target fingerprint, analysis, options)`` triple::
 
     <root>/objects/<key[:2]>/<key>.json     one envelope per result
-    <root>/index.json                       eviction/GC index
+    <root>/index.jsonl                      listing/GC journal
 
 Invariants the rest of the serve stack relies on:
 
@@ -22,14 +22,26 @@ Invariants the rest of the serve stack relies on:
   ``schema_version``; objects written by a *newer* store or report
   schema read as misses rather than misparses.  Older report schemas
   are accepted exactly as :meth:`Report.from_dict` accepts them;
-* **self-healing index** — ``index.json`` is a cache of the object
-  directory, not the source of truth: a missing or corrupt index is
-  rebuilt by scanning ``objects/``.
+* **self-healing index** — ``index.jsonl`` is an append-only journal
+  of the object directory, not the source of truth.  :meth:`put` writes
+  the object first and then appends one JSON line in a single
+  ``O_APPEND`` write, so a put costs the same however large the store.
+  Reading folds the lines, the last line for a key winning.  A missing
+  journal, an unparseable line or a torn last line means a rebuild by
+  scanning ``objects/`` and a compacted atomic rewrite; that is safe
+  because no line is written before its object.  A put into a store
+  with no journal rebuilds rather than starting a one-line journal that
+  would hide the entries already on disk.  :meth:`gc` and :meth:`clear`
+  compact the journal.  A store written before the journal (with only
+  the whole-index ``index.json``) has no journal, so it is rebuilt and
+  lists every entry; the stale ``index.json`` is removed then.
 
-The store is safe for concurrent readers and writer processes: the only
-mutation is an atomic rename (last writer wins — both writers hold the
-same deterministic result, so the race is benign), and the index is
-rewritten atomically on the same rule.
+The store is safe for concurrent readers and writer processes: an
+object is replaced by an atomic rename (last writer wins — both writers
+hold the same deterministic result, so the race is benign).  A line
+appended while another process compacts the journal can drop out of
+the listing until the next rebuild; it never changes an answer, which
+:meth:`get` reads from ``objects/``.
 
 :class:`ReportCache` puts an in-process memory tier in front of a
 store; it is the one tier walk of the manager and the daemon.
@@ -81,7 +93,8 @@ class ResultStore:
     def __init__(self, root: str, max_entries: Optional[int] = None):
         self.root = os.path.abspath(os.path.expanduser(root))
         self.objects = os.path.join(self.root, "objects")
-        self._index_path = os.path.join(self.root, "index.json")
+        self._index_path = os.path.join(self.root, "index.jsonl")
+        self._legacy_index_path = os.path.join(self.root, "index.json")
         self.max_entries = max_entries
         self.stats = StoreStats()
         self._lock = threading.Lock()
@@ -145,7 +158,7 @@ class ResultStore:
     def put(self, key: str, report: Report, *,
             target: str = "", analysis: str = "",
             options: Any = None) -> None:
-        """Atomically file ``report`` under ``key`` and index it."""
+        """Atomically file ``report`` under ``key``, then journal it."""
         envelope = {
             "store_version": STORE_VERSION,
             "key": key,
@@ -159,13 +172,22 @@ class ResultStore:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         self._atomic_write(path, json.dumps(envelope, sort_keys=True))
         self.stats.stores += 1
+        line = _journal_line(key, {"target": envelope["target"],
+                                   "analysis": envelope["analysis"],
+                                   "status": report.status,
+                                   "stored_at": envelope["stored_at"]})
         with self._lock:
-            index = self._load_index()
-            index[key] = {"target": envelope["target"],
-                          "analysis": envelope["analysis"],
-                          "status": report.status,
-                          "stored_at": envelope["stored_at"]}
-            self._write_index(index)
+            try:
+                fd = os.open(self._index_path, os.O_WRONLY | os.O_APPEND)
+            except FileNotFoundError:
+                # Appending would start a journal that hides every
+                # entry already on disk; the rebuild finds this one too.
+                self._rebuild_journal()
+            else:
+                try:
+                    os.write(fd, line.encode("utf-8"))
+                finally:
+                    os.close(fd)
         if self.max_entries is not None:
             self.gc(max_entries=self.max_entries)
 
@@ -187,19 +209,31 @@ class ResultStore:
     # -- the index and GC ----------------------------------------------------
 
     def _load_index(self) -> Dict[str, Dict[str, Any]]:
+        """The journal folded to ``key -> meta``, rebuilt from
+        ``objects/`` when it is missing or damaged."""
         try:
-            with open(self._index_path, encoding="utf-8") as fh:
-                index = json.load(fh)
-            if isinstance(index, dict):
-                return index
-        except FileNotFoundError:
+            with open(self._index_path, "rb") as fh:
+                index = _fold_journal(fh.read())
+        except OSError:
+            index = None
+        if index is None:
+            index = self._rebuild_journal()
+        return index
+
+    def _rebuild_journal(self) -> Dict[str, Dict[str, Any]]:
+        """Rescan ``objects/``, write the compacted journal and drop a
+        legacy ``index.json`` (a store this process cannot write to is
+        still listed)."""
+        index = self._rebuild_index()
+        try:
+            self._write_index(index)
+            os.unlink(self._legacy_index_path)
+        except OSError:
             pass
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            pass
-        return self._rebuild_index()
+        return index
 
     def _rebuild_index(self) -> Dict[str, Dict[str, Any]]:
-        """Rescan ``objects/`` — the index is only a cache of it."""
+        """Rescan ``objects/`` — the journal is only a record of it."""
         index: Dict[str, Dict[str, Any]] = {}
         for dirpath, _dirs, names in os.walk(self.objects):
             for name in names:
@@ -216,8 +250,9 @@ class ResultStore:
         return index
 
     def _write_index(self, index: Mapping[str, Any]) -> None:
-        self._atomic_write(self._index_path,
-                           json.dumps(index, sort_keys=True))
+        """Atomically replace the journal with one line per entry."""
+        self._atomic_write(self._index_path, "".join(
+            _journal_line(key, meta) for key, meta in index.items()))
 
     def entries(self) -> List[Dict[str, Any]]:
         """Indexed entries, oldest first; each carries its ``key``."""
@@ -236,8 +271,9 @@ class ResultStore:
     def gc(self, max_entries: Optional[int] = None,
            max_age: Optional[float] = None) -> int:
         """Evict oldest-first down to ``max_entries`` and/or drop
-        entries older than ``max_age`` seconds; sweep stale temp files.
-        Returns the number of objects removed."""
+        entries older than ``max_age`` seconds; sweep stale temp files
+        and compact the journal.  Returns the number of objects
+        removed."""
         rows = self.entries()
         doomed: List[str] = []
         if max_age is not None:
@@ -255,8 +291,6 @@ class ResultStore:
                         os.unlink(os.path.join(dirpath, name))
                     except OSError:  # pragma: no cover - racing writer
                         pass
-        if not doomed:
-            return 0
         for key in doomed:
             try:
                 os.unlink(self.path_for(key))
@@ -271,7 +305,7 @@ class ResultStore:
         return len(doomed)
 
     def clear(self) -> None:
-        """Drop every stored object (the index included)."""
+        """Drop every stored object (the journal is emptied)."""
         for key in self.keys():
             try:
                 os.unlink(self.path_for(key))
@@ -282,6 +316,27 @@ class ResultStore:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ResultStore({self.root!r}, {len(self)} entries)"
+
+
+def _journal_line(key: str, meta: Mapping[str, Any]) -> str:
+    return json.dumps({"key": key, **meta}, sort_keys=True) + "\n"
+
+
+def _fold_journal(data: bytes) -> Optional[Dict[str, Dict[str, Any]]]:
+    """``key -> meta`` with the last line for a key winning, or
+    ``None`` when a line does not parse or the last one is torn."""
+    if data and not data.endswith(b"\n"):
+        return None
+    index: Dict[str, Dict[str, Any]] = {}
+    for line in data.splitlines():
+        try:
+            row = json.loads(line)
+        except ValueError:
+            return None
+        if not isinstance(row, dict) or not isinstance(row.get("key"), str):
+            return None
+        index[row.pop("key")] = row
+    return index
 
 
 class ReportCache:

@@ -106,6 +106,30 @@ def test_the_manager_gives_the_direct_answer(analysis, tmp_path):
         == [direct[name] for name in REQUESTS]
 
 
+@pytest.mark.parametrize("analysis", ANALYSES)
+def test_a_batch_computes_each_key_once(analysis, tmp_path):
+    """Duplicates in one batch share one computation, and each is still
+    restated for its own request."""
+    direct = _direct(analysis)
+    plain = REQUESTS["plain"][0]
+    manager = AnalysisManager(analysis)
+    reports = manager.run([plain, plain, Project.from_litmus(CASE.name)])
+    assert manager.cache_info.misses == 1
+    assert [_stripped(r) for r in reports] == [direct["plain"]] * 3
+
+    folded = [project.with_options(**overrides)
+              for project, _, overrides in REQUESTS.values()]
+    for workers in (None, 2):
+        manager = AnalysisManager(analysis, workers=workers,
+                                  store=str(tmp_path / f"s-{workers}"))
+        reports = manager.run(folded + folded[::-1])
+        info = manager.cache_info
+        assert (info.misses, info.stores, info.size) == (2, 2, 2)
+        names = list(REQUESTS) + list(REQUESTS)[::-1]
+        assert [_stripped(r) for r in reports] \
+            == [direct[name] for name in names]
+
+
 def test_the_daemon_gives_the_direct_answer(tmp_path):
     direct = {analysis: _direct(analysis) for analysis in ANALYSES}
     served = [name for name in REQUESTS if REQUESTS[name][1] is not None]

@@ -14,9 +14,11 @@ One module-scoped daemon serves most tests (worker start-up is paid
 once); lifecycle tests that need their own daemon build one per test.
 """
 
+import gc
 import json
 import os
 import threading
+import warnings
 
 import pytest
 
@@ -75,6 +77,69 @@ def test_warm_resubmit_skips_the_pool(daemon, client):
     assert cache["source"] == "memory"
     assert daemon.server.pool.stats()["tasks_submitted"] == before
     assert strip_volatile(report.to_dict()) == _direct("kocher_02")
+
+
+def _count_calls(client, monkeypatch):
+    """The RPC methods ``client`` sends from now on."""
+    methods = []
+    call = client.call
+
+    def counted(method, **params):
+        methods.append(method)
+        return call(method, **params)
+    monkeypatch.setattr(client, "call", counted)
+    return methods
+
+
+def test_a_cached_submit_carries_its_answer(daemon, client, monkeypatch):
+    """A warm submit is one round trip: its reply carries the payload
+    ``result`` would return, and the client answers ``result``,
+    ``result_dict`` and ``wait`` for that job from it."""
+    spec, options = {"kind": "name", "name": "kocher_03"}, {"bound": 9}
+    cold = client.submit(spec, options=options)
+    assert not cold["cached"] and "result" not in cold
+    client.wait(cold["job"])
+    methods = _count_calls(client, monkeypatch)
+    warm = client.submit(spec, options=options)
+    assert warm["cached"] and warm["result"]["source"] == "memory"
+    payload = client.result_dict(warm["job"])
+    report, cache = client.result(warm["job"])
+    assert client.wait(warm["job"])[1] is cache
+    assert methods == ["submit"]
+    assert payload is warm["result"] and cache["source"] == "memory"
+    assert strip_volatile(report.to_dict()) \
+        == strip_volatile(payload["report"]) \
+        == _direct("kocher_03", bound=9)
+    over_the_wire = client.call("result", job=warm["job"])
+    assert {k: v for k, v in over_the_wire.items() if k != "cache"} \
+        == {k: v for k, v in payload.items() if k != "cache"}
+    # Any other job, or a wait that streams events, asks the daemon.
+    assert client.result_dict(cold["job"])["source"] == "computed"
+    events = []
+    client.wait(warm["job"], on_event=events.append)
+    assert [e["state"] for e in events] == ["done"]
+    assert methods == ["submit", "result", "result", "status"]
+
+
+def test_a_reply_without_the_answer_falls_back_to_the_rpc(
+        daemon, client, monkeypatch):
+    """A daemon that predates the ``result`` field still answers."""
+    from repro.serve import ReproServer
+    submit = ReproServer.rpc_submit
+
+    def old_submit(self, params):
+        reply = submit(self, params)
+        reply.pop("result", None)
+        return reply
+    monkeypatch.setattr(ReproServer, "rpc_submit", old_submit)
+    spec = {"kind": "name", "name": "kocher_04"}
+    client.submit_and_wait(spec)
+    methods = _count_calls(client, monkeypatch)
+    warm = client.submit(spec)
+    assert warm["cached"] and "result" not in warm
+    report, cache = client.result(warm["job"])
+    assert methods == ["submit", "result"] and cache["source"] == "memory"
+    assert strip_volatile(report.to_dict()) == _direct("kocher_04")
 
 
 def test_asm_target_shipped_by_value(client):
@@ -492,3 +557,16 @@ def test_cli_unreachable_daemon_exits_3(tmp_path, capsys, monkeypatch):
                        str(tmp_path / "nobody-home.sock"))
     assert main(["submit", "kocher_01"]) == 3
     assert "repro serve" in capsys.readouterr().err
+
+
+def _connect_nowhere(path):
+    with pytest.raises(ConnectionError):
+        ServeClient(socket_path=path)
+
+
+def test_unreachable_daemon_leaves_no_open_socket(tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        _connect_nowhere(str(tmp_path / "nobody-home.sock"))
+        gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []

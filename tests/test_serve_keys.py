@@ -4,20 +4,27 @@ A content address must not depend on anything process-local: not dict
 order, not ``PYTHONHASHSEED``, not how the options object was built.
 These tests pin (a) the canonical-options reduction, (b) digest
 equality across *fresh interpreter processes with different hash
-seeds*, and (c) the ``strip_volatile`` normaliser used by every
-daemon-vs-direct differential gate.
+seeds*, (c) the once-per-process digest of a registry target, and (d)
+the ``strip_volatile`` normaliser used by every daemon-vs-direct
+differential gate.
 """
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from repro.api import AnalysisOptions, Project
+from repro.api.cli import main
+from repro.litmus import find_case, registry
 from repro.serve import (canonical_options, fingerprint_digest,
-                         options_digest, store_key, strip_volatile)
+                         options_digest, resolve_project, spec_for_asm,
+                         spec_for_name, store_key, strip_volatile)
+from repro.serve import keys
 
 
 # -- canonical options -------------------------------------------------------
@@ -73,6 +80,73 @@ def test_register_values_reach_the_digest():
     a = Project.from_asm(source, regs={"ra": 4})
     b = Project.from_asm(source, regs={"ra": 8})
     assert fingerprint_digest(a) != fingerprint_digest(b)
+
+
+def _fresh_digest(project):
+    text = keys._target_text(project.name, project.program,
+                             project.config())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _count_renders(monkeypatch):
+    calls = []
+    render = keys._target_text
+
+    def counted(*args):
+        calls.append(args[0])
+        return render(*args)
+    monkeypatch.setattr(keys, "_target_text", counted)
+    return calls
+
+
+def _listed_names(capsys):
+    assert main(["list", "--json"]) == 0
+    listing = json.loads(capsys.readouterr().out)
+    return [name for group in ("litmus_suites", "case_studies")
+            for names in listing[group].values() for name in names]
+
+
+def test_memoised_digest_equals_a_fresh_one_for_every_listed_name(
+        capsys, monkeypatch):
+    names = _listed_names(capsys)
+    assert {"kocher_01", "haystack_01", "secretbox-c"} <= set(names)
+    for name in names:
+        project = resolve_project(spec_for_name(name))
+        fingerprint_digest(project)
+        calls = _count_renders(monkeypatch)
+        again = resolve_project(spec_for_name(name))
+        memoised = fingerprint_digest(again.with_options(bound=3))
+        assert calls == [], name             # served from the memo
+        monkeypatch.undo()
+        assert memoised == fingerprint_digest(again) \
+            == _fresh_digest(again), name
+
+
+def test_an_asm_target_is_digested_on_every_call(monkeypatch):
+    spec = spec_for_asm("entry: %rb = load [0x40, %ra]\n       halt",
+                        regs={"ra": 4})
+    calls = _count_renders(monkeypatch)
+    digests = {fingerprint_digest(resolve_project(spec)) for _ in range(2)}
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert digests == {_fresh_digest(resolve_project(spec))}
+
+
+def test_a_rebuilt_registry_misses_the_memo(monkeypatch):
+    before = fingerprint_digest(Project.from_litmus("kocher_01"))
+    calls = _count_renders(monkeypatch)
+    assert fingerprint_digest(Project.from_litmus("kocher_01")) == before
+    assert calls == []
+    late = replace(find_case("kocher_02"), name="zz_late_case")
+    registry.suite("zz_late")(lambda: [late])
+    try:
+        rebuilt = Project.from_litmus("kocher_01")   # rebuilds the registry
+        assert fingerprint_digest(rebuilt) == before
+        assert calls == ["kocher_01"]
+        assert fingerprint_digest(Project.from_litmus("zz_late_case")) \
+            != fingerprint_digest(Project.from_litmus("kocher_02"))
+    finally:
+        del registry._SUITES["zz_late"]
 
 
 def test_store_key_accepts_options_or_canonical_tuple():

@@ -4,8 +4,9 @@ the AnalysisManager's adoption of the store as its disk cache tier.
 The store's contract is "a bad object is a miss, never a crash":
 truncated writes, garbled JSON, foreign schema versions and mislabelled
 envelopes must all read as ``None`` (and quarantine themselves) so the
-caller recomputes.  The index is a rebuildable cache of ``objects/``,
-not a source of truth.
+caller recomputes.  The index is an append-only journal of
+``objects/``, not a source of truth: a put appends one line, and a
+missing or damaged journal is rebuilt from the objects.
 """
 
 import json
@@ -144,6 +145,100 @@ def test_corrupt_index_rebuilds(store, report):
     assert store.keys() == [key]
 
 
+def _journal_lines(store):
+    with open(store._index_path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def test_envelope_shape_and_version_are_unchanged(store, report):
+    key = _key()
+    store.put(key, report, target="kocher_01", analysis="pitchfork")
+    with open(store.path_for(key), encoding="utf-8") as fh:
+        envelope = json.load(fh)
+    assert STORE_VERSION == 1
+    assert sorted(envelope) == ["analysis", "key", "options", "report",
+                                "store_version", "stored_at", "target"]
+    assert envelope["store_version"] == 1 and envelope["key"] == key
+
+
+def test_put_appends_one_line_without_reading_the_journal(
+        store, report, monkeypatch):
+    keys = [_key(bound=b) for b in (5, 6, 7)]
+    store.put(keys[0], report)
+
+    def no_load():
+        raise AssertionError("put read the journal")
+    monkeypatch.setattr(store, "_load_index", no_load)
+    monkeypatch.setattr(store, "_rebuild_index", no_load)
+    for n, key in enumerate(keys[1:], start=2):
+        store.put(key, report)
+        assert len(_journal_lines(store)) == n
+    monkeypatch.undo()
+    assert sorted(store.keys()) == sorted(keys)
+
+
+def test_the_last_line_for_a_key_wins_and_gc_compacts(store, report):
+    key = _key()
+    store.put(key, report, target="first")
+    store.put(key, report, target="second")
+    assert len(_journal_lines(store)) == 2
+    assert [row["target"] for row in store.entries()] == ["second"]
+    assert store.gc() == 0
+    assert len(_journal_lines(store)) == 1
+    assert [row["target"] for row in store.entries()] == ["second"]
+
+
+def test_put_into_a_store_without_a_journal_keeps_every_entry(store, report):
+    keys = [_key(bound=b) for b in (5, 6)]
+    for key in keys:
+        store.put(key, report)
+    os.unlink(store._index_path)
+    late = _key(bound=7)
+    store.put(late, report)
+    assert sorted(store.keys()) == sorted(keys + [late])
+    assert len(_journal_lines(store)) == 3
+
+
+@pytest.mark.parametrize("damage", ["garbled-line", "torn-tail", "not-a-row"])
+def test_damaged_journal_rebuilds(store, report, damage):
+    keys = [_key(bound=b) for b in (5, 6, 7)]
+    for key in keys:
+        store.put(key, report)
+    lines = _journal_lines(store)
+    if damage == "garbled-line":
+        lines[1] = "{ nope"
+        text = "\n".join(lines) + "\n"
+    elif damage == "torn-tail":
+        text = "\n".join(lines)[:-5]
+    else:
+        lines[0] = json.dumps(["not", "a", "row"])
+        text = "\n".join(lines) + "\n"
+    with open(store._index_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    assert sorted(store.keys()) == sorted(keys)
+    # The rebuild rewrote a compacted journal that now folds cleanly.
+    assert len(_journal_lines(store)) == 3
+    assert [json.loads(line)["key"] for line in _journal_lines(store)]
+
+
+def test_legacy_index_json_store_lists_every_entry(store, report):
+    """A store written before the journal has only ``index.json``; its
+    listing comes from the objects, even where that index is stale."""
+    keys = [_key(bound=b) for b in (5, 6, 7)]
+    for key in keys:
+        store.put(key, report, target="kocher_01")
+    os.unlink(store._index_path)
+    legacy = os.path.join(store.root, "index.json")
+    with open(legacy, "w", encoding="utf-8") as fh:
+        json.dump({keys[0]: {"target": "kocher_01", "analysis": "pitchfork",
+                             "status": report.status,
+                             "stored_at": 1.0}}, fh)
+    reopened = ResultStore(store.root)
+    assert sorted(reopened.keys()) == sorted(keys)
+    assert not os.path.exists(legacy)
+    assert len(_journal_lines(reopened)) == 3
+
+
 # -- GC ----------------------------------------------------------------------
 
 
@@ -211,6 +306,7 @@ def test_clear(store, report):
     store.clear()
     assert len(store) == 0
     assert store.get(_key()) is None
+    assert _journal_lines(store) == []
 
 
 # -- the manager's disk tier -------------------------------------------------
