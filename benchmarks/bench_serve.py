@@ -31,6 +31,7 @@ and exits nonzero when a gate fails:
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -78,47 +79,50 @@ def run_benchmark():
     record["cold_wall"] = round(cold_wall, 6)
 
     tmp = tempfile.mkdtemp(prefix="repro-bench-serve-")
-    sock = os.path.join(tmp, "daemon.sock")
-    store = os.path.join(tmp, "store")
-    mismatches = []
-
-    # -- fill + warm leg: one daemon, one client, one socket --------------
-    handle = start_in_thread(socket_path=sock, store=store, workers=2)
     try:
-        with ServeClient(socket_path=sock) as client:
-            for case in CASES:                       # fill (computed)
-                report, _ = client.submit_and_wait(
-                    {"kind": "name", "name": case})
-                if strip_volatile(report.to_dict()) != cold_reports[case]:
-                    mismatches.append(case)
-            warm_wall = None
-            for _ in range(REPEATS):                 # warm (memory tier)
+        sock = os.path.join(tmp, "daemon.sock")
+        store = os.path.join(tmp, "store")
+        mismatches = []
+
+        # -- fill + warm leg: one daemon, one client, one socket --------------
+        handle = start_in_thread(socket_path=sock, store=store, workers=2)
+        try:
+            with ServeClient(socket_path=sock) as client:
+                for case in CASES:                       # fill (computed)
+                    report, _ = client.submit_and_wait(
+                        {"kind": "name", "name": case})
+                    if strip_volatile(report.to_dict()) != cold_reports[case]:
+                        mismatches.append(case)
+                warm_wall = None
+                for _ in range(REPEATS):                 # warm (memory tier)
+                    t0 = time.perf_counter()
+                    for case in CASES:
+                        client.submit_and_wait({"kind": "name", "name": case})
+                    wall = time.perf_counter() - t0
+                    warm_wall = wall if warm_wall is None \
+                        else min(warm_wall, wall)
+                stats = client.stats()
+        finally:
+            handle.stop()
+        record["warm_wall"] = round(warm_wall, 6)
+        record["warm_source_counts"] = stats["cache"]
+
+        # -- store leg: restarted daemon, disk tier, pool never starts --------
+        handle = start_in_thread(socket_path=sock, store=store, workers=2)
+        try:
+            with ServeClient(socket_path=sock) as client:
                 t0 = time.perf_counter()
                 for case in CASES:
-                    client.submit_and_wait({"kind": "name", "name": case})
-                wall = time.perf_counter() - t0
-                warm_wall = wall if warm_wall is None \
-                    else min(warm_wall, wall)
-            stats = client.stats()
+                    report, cache = client.submit_and_wait(
+                        {"kind": "name", "name": case})
+                    if strip_volatile(report.to_dict()) != cold_reports[case]:
+                        mismatches.append(f"{case} (store)")
+                record["store_wall"] = round(time.perf_counter() - t0, 6)
+                record["store_pool_started"] = handle.server.pool.started
+        finally:
+            handle.stop()
     finally:
-        handle.stop()
-    record["warm_wall"] = round(warm_wall, 6)
-    record["warm_source_counts"] = stats["cache"]
-
-    # -- store leg: restarted daemon, disk tier, pool never starts --------
-    handle = start_in_thread(socket_path=sock, store=store, workers=2)
-    try:
-        with ServeClient(socket_path=sock) as client:
-            t0 = time.perf_counter()
-            for case in CASES:
-                report, cache = client.submit_and_wait(
-                    {"kind": "name", "name": case})
-                if strip_volatile(report.to_dict()) != cold_reports[case]:
-                    mismatches.append(f"{case} (store)")
-            record["store_wall"] = round(time.perf_counter() - t0, 6)
-            record["store_pool_started"] = handle.server.pool.started
-    finally:
-        handle.stop()
+        shutil.rmtree(tmp, ignore_errors=True)
 
     record["mismatches"] = mismatches
     record["findings_identical"] = not mismatches

@@ -104,7 +104,7 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
     from ..engine.por import PRUNE_LEVELS
     parser.add_argument("--prune", choices=PRUNE_LEVELS,
                         help="partial-order reduction over the schedule "
-                             "tree (default: sleepset); all levels flag "
+                             "tree (default: full); all levels flag "
                              "the same violation observations")
     parser.add_argument("--subsume", action="store_true", default=None,
                         help="prune fork arms whose state was already "
@@ -599,16 +599,26 @@ def cmd_results(args) -> int:
         except (ConnectionError, ServeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
-    if args.json:
+    try:
+        _print_results(rows, args.json)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``repro results | grep -q …``): the
+        # rest of the listing has nowhere to go.  Point stdout at
+        # /dev/null so the exit-time flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0
+
+
+def _print_results(rows: List[Dict[str, Any]], as_json: bool) -> None:
+    if as_json:
         print(json.dumps({"entries": rows}, indent=2))
-        return 0
+        return
     if not rows:
         print("no stored results")
-        return 0
     for row in rows:
         print(f"{row['key'][:12]}  {row.get('analysis', ''):<10} "
               f"{row.get('status', ''):<22} {row.get('target', '')}")
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):

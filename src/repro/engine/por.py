@@ -52,14 +52,14 @@ Pruning levels (:data:`PRUNE_LEVELS`), validated by
 ``sleepset``
     The matching-store reduction (deferral forks only where the store
     may alias an in-flight load — the footprint-disjointness argument)
-    plus branch-misprediction rollback joins.  This is the default, and
-    byte-identical to the seed explorer's enumeration.
+    plus branch-misprediction rollback joins: the seed explorer's
+    reductions.
 ``full``
     ``sleepset`` plus speculation-window capping on every *covered*
     rollback: store-forwarding hazard joins, aliasing-prediction
     validation joins, and mispredicted jmpi/ret redirect joins, plus
     collapse of degenerate fork arms that step to identical
-    configurations.
+    configurations.  This is the default.
 
 See DESIGN.md ("Partial-order reduction") for the soundness argument.
 """
@@ -103,7 +103,7 @@ class PruningStats:
     duplicate fork arm standing in for at least one whole schedule).
     """
 
-    level: str = "sleepset"
+    level: str = "full"
     classes_explored: int = 0
     schedules_skipped: int = 0
 

@@ -53,15 +53,18 @@ is cut (see :mod:`repro.engine.por` and DESIGN.md):
 * ``"none"`` — the letter of Definition B.18: every store-address
   deferral is an explicit fork and rolled-back paths continue to
   completion.  Maximal, redundant, the differential baseline;
-* ``"sleepset"`` (default) — deferral forks only where the store's
-  address may alias an in-flight load (the independence argument) plus
-  branch-misprediction rollback joins.  Byte-identical to the seed
-  explorer's enumeration;
-* ``"full"`` — additionally caps every *covered* speculation window at
-  its rollback (store-forwarding hazards, aliasing-prediction
+* ``"sleepset"`` — deferral forks only where the store's address may
+  alias an in-flight load (the independence argument) plus
+  branch-misprediction rollback joins: the seed explorer's reductions;
+* ``"full"`` (default) — additionally caps every *covered* speculation
+  window at its rollback (store-forwarding hazards, aliasing-prediction
   validations, mispredicted jmpi/ret redirects whose correct arm was
   forked) and collapses degenerate fork arms that step to identical
   configurations.
+
+The reduced levels also fork the timing of a store-address resolution
+whose address reads an in-flight value that is unresolved or
+secret-labelled (the label gate, :meth:`Explorer._addr_reads_inflight`).
 
 All levels flag the same violation observations (the Mazurkiewicz-class
 argument; pinned by ``tests/test_por_equivalence.py``).
@@ -152,10 +155,10 @@ class ExplorationOptions:
     #: survive a cap) changes.
     strategy: str = "dfs"
     #: Partial-order reduction level: "none" (raw Definition B.18),
-    #: "sleepset" (the default — the seed enumeration), or "full"
-    #: (window capping on covered rollbacks + degenerate-arm collapse).
+    #: "sleepset" (the seed's reductions), or "full" (the default:
+    #: window capping on covered rollbacks + degenerate-arm collapse).
     #: See :mod:`repro.engine.por`.
-    prune: str = "sleepset"
+    prune: str = "full"
     #: Redundant-state subsumption (see :mod:`repro.engine.subsume`):
     #: prune fork arms whose configuration was already explored with
     #: the same or weaker residual obligations.  Orthogonal to
@@ -915,7 +918,8 @@ class Explorer:
                     # it past the producer's hazard squash silently
                     # drops the leak (surfaced by the repro.sps.diff
                     # differential sweep) — so the timing fork comes
-                    # back for exactly those stores.
+                    # back for those stores, unless the address is
+                    # already known to be public (the label gate).
                     if self.options.fwd_hazards and \
                             self.options.prune != "none" and \
                             i not in path.deferred and \
@@ -1042,12 +1046,19 @@ class Explorer:
         (a speculatively forwarded load, or computation on one), so the
         timing of the address resolution — and hence whether its
         ``fwd`` observation happens before a rollback squashes the
-        entry — is not schedule-independent."""
+        entry — is not schedule-independent.
+
+        Only a timing that can change a verdict needs the fork: once
+        the operands are resolved and all public, the ``fwd``
+        observation is public whenever it happens (the label gate; see
+        DESIGN.md, "Partial-order reduction")."""
         buf = config.buf
         for rv in args:
             if not isinstance(rv, Value) and \
                     buf.producer_before(i, rv) is not None:
-                return True
+                vals = resolve_operands(buf, i, config.regs, args)
+                return vals is None or \
+                    any(not v.label.is_public() for v in vals)
         return False
 
     def _can(self, config: Config, d: Execute) -> bool:

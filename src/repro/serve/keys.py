@@ -20,7 +20,12 @@ more:
   process computes the same address for the same target;
 * **one key string** — :func:`store_key` combines analysis name, target
   digest and canonical options into the hex name a
-  :class:`~repro.serve.store.ResultStore` object is filed under.
+  :class:`~repro.serve.store.ResultStore` object is filed under;
+* **a semantics epoch** — a defaulted option means whatever the
+  current default is, and a result means whatever the current explorer
+  computes.  :data:`SEMANTICS_EPOCH` names that meaning; it is part of
+  every key and of every stored envelope, so a result computed under
+  another epoch is a miss, never an answer.
 
 :func:`strip_volatile` is the comparison normaliser used by the
 differential gates (tests and ``benchmarks/bench_serve.py``): it zeroes
@@ -36,8 +41,14 @@ import json
 from dataclasses import MISSING, fields
 from typing import Any, Dict, Mapping, Tuple
 
-__all__ = ["canonical_options", "fingerprint_digest", "options_digest",
-           "store_key", "strip_volatile"]
+__all__ = ["SEMANTICS_EPOCH", "canonical_options", "fingerprint_digest",
+           "options_digest", "store_key", "strip_volatile"]
+
+#: What a stored result means: bumped whenever a default option or the
+#: explorer's search changes what an unchanged key would compute.
+#: 1 — ``prune="full"`` became the default, and the store-address
+#: timing fork became label-gated.
+SEMANTICS_EPOCH = 1
 
 
 def canonical_options(options) -> Tuple[Tuple[str, Any], ...]:
@@ -128,11 +139,12 @@ def store_key(analysis: str, fingerprint: str, options) -> str:
 
     ``fingerprint`` is a :func:`fingerprint_digest`; ``options`` is an
     ``AnalysisOptions`` or an already-canonical tuple.  The key is the
-    SHA-256 of the three parts, so it is filename-safe and uniform.
+    SHA-256 of the three parts and :data:`SEMANTICS_EPOCH`, so it is
+    filename-safe and uniform.
     """
     canon = options if isinstance(options, tuple) \
         else canonical_options(options)
-    text = f"{analysis}\n{fingerprint}\n{canon!r}"
+    text = f"epoch={SEMANTICS_EPOCH}\n{analysis}\n{fingerprint}\n{canon!r}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

@@ -21,7 +21,11 @@ Invariants the rest of the serve stack relies on:
   :data:`STORE_VERSION` and the embedded report carries the report
   ``schema_version``; objects written by a *newer* store or report
   schema read as misses rather than misparses.  Older report schemas
-  are accepted exactly as :meth:`Report.from_dict` accepts them;
+  are accepted exactly as :meth:`Report.from_dict` accepts them.  The
+  envelope also records the :data:`~repro.serve.keys.SEMANTICS_EPOCH`
+  it was computed under; an envelope of another epoch (or of none) is
+  a miss, never an answer, though it stays listed until :meth:`gc`
+  evicts it;
 * **self-healing index** — ``index.jsonl`` is an append-only journal
   of the object directory, not the source of truth.  :meth:`put` writes
   the object first and then appends one JSON line in a single
@@ -58,6 +62,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..api.report import Report
+from . import keys
 
 __all__ = ["ResultStore", "ReportCache", "StoreStats", "STORE_VERSION"]
 
@@ -109,9 +114,11 @@ class ResultStore:
 
     def get(self, key: str) -> Optional[Report]:
         """The stored report, or ``None`` (miss, corruption, or a newer
-        schema than this process can parse)."""
+        schema than this process can parse, or another semantics
+        epoch)."""
         envelope = self._read_envelope(key)
-        if envelope is None:
+        if envelope is None or \
+                envelope.get("semantics_epoch") != keys.SEMANTICS_EPOCH:
             self.stats.misses += 1
             return None
         try:
@@ -161,6 +168,7 @@ class ResultStore:
         """Atomically file ``report`` under ``key``, then journal it."""
         envelope = {
             "store_version": STORE_VERSION,
+            "semantics_epoch": keys.SEMANTICS_EPOCH,
             "key": key,
             "target": target or report.target,
             "analysis": analysis or report.analysis,

@@ -256,14 +256,15 @@ class TestStoreKeyCompatibility:
             ("bound", 12), ("fwd_hazards", False), ("max_paths", 8000))
 
     def test_kocher_01_store_key_unchanged(self):
-        # Values pinned before this PR's options fields existed.
+        # The digest was pinned before the anytime options existed; the
+        # key moved once, with SEMANTICS_EPOCH 1.
         project = Project.from_litmus("kocher_01")
         fingerprint = fingerprint_digest(project)
         assert fingerprint == ("90fc5e28bad1662ef29daff314f68a2edec8172c"
                                "4bb77f526eb6623a1100f42d")
         assert store_key("pitchfork", fingerprint, project.options) == (
-            "a99ff96a5a35613bdd776334ec903e5d5ff3d1c2078d70a5e"
-            "ac3f03a346432de")
+            "424154aed69a18b52cf08740cf560225752993cdff7aa551f"
+            "4d1a7f80b606565")
 
     def test_nondefault_budget_changes_the_key(self):
         # A budgeted (possibly truncated) result must never shadow a

@@ -93,7 +93,7 @@ class TestPruneFlag:
         assert data["details"]["prune"] == "full"
         assert data["pruning"]["level"] == "full"
 
-    def test_prune_default_absent_means_sleepset(self, capsys):
+    def test_prune_default_absent_means_full(self, capsys):
         main(["analyze", "kocher_13", "--json"])
         data = json.loads(capsys.readouterr().out)
-        assert data["pruning"]["level"] == "sleepset"
+        assert data["pruning"]["level"] == "full"

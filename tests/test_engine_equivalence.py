@@ -1,11 +1,12 @@
 """The engine changes *how much work* exploration does, never *what*
 it computes.
 
-These tests hold the engine-backed Explorer to path-for-path identical
-results against :class:`ReferenceExplorer` — the seed's fork-by-copy
-implementation kept here verbatim: every fork duplicates the full
-schedule/trace/violation lists and every step runs the raw machine (no
-trial-step cache, no shared logs).  Equivalence is checked on
+These tests hold the engine-backed Explorer, at ``prune="sleepset"``
+(the seed's enumeration, which the reference implements), to
+path-for-path identical results against :class:`ReferenceExplorer` —
+the seed's fork-by-copy implementation kept here verbatim: every fork
+duplicates the full schedule/trace/violation lists and every step runs
+the raw machine (no trial-step cache, no shared logs).  Equivalence is checked on
 randomized programs from :mod:`repro.verify.generators` and, byte for
 byte (``repr``), across the full litmus registry.
 """
@@ -208,7 +209,7 @@ class TestRandomizedEquivalence:
         options = ExplorationOptions(
             bound=rng.choice((4, 6, 8)),
             fwd_hazards=bool(seed % 2),
-            max_paths=4000)
+            max_paths=4000, prune="sleepset")
         _assert_identical(machine, config, options, label=f"seed={seed}")
 
     @pytest.mark.parametrize("seed", range(6))
@@ -219,7 +220,8 @@ class TestRandomizedEquivalence:
         config = random_config(rng)
         machine = Machine(program)
         options = ExplorationOptions(bound=6, fwd_hazards=True,
-                                     max_paths=5, max_steps=30)
+                                     max_paths=5, max_steps=30,
+                                     prune="sleepset")
         _assert_identical(machine, config, options,
                           label=f"budget seed={seed}")
 
@@ -236,6 +238,6 @@ class TestRegistryEquivalence:
             explore_aliasing=case.needs_aliasing,
             jmpi_targets=tuple(case.jmpi_targets),
             rsb_targets=tuple(case.rsb_targets),
-            max_paths=4000)
+            max_paths=4000, prune="sleepset")
         _assert_identical(machine, case.make_config(), options,
                           label=case.name)

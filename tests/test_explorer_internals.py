@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import ProgramBuilder, assemble
+from repro.casestudies import all_case_studies
 from repro.core import Config, Machine, Memory, Region, Value, PUBLIC, SECRET
 from repro.core.directives import Execute, Fetch, Retire
+from repro.core.isa import Load, Op, Store
+from repro.core.observations import Fwd
+from repro.core.program import Program
 from repro.core.transient import TBr
+from repro.core.values import Reg, operands
 from repro.engine import MachineState
 from repro.litmus import find_case
 from repro.pitchfork import ExplorationOptions, Explorer, analyze
@@ -82,10 +87,13 @@ class TestForwardingArms:
 
     def test_stale_read_world_rolls_back_and_recovers(self):
         """The v4 probe must still commit the architecturally right
-        value after its hazard rollback."""
+        value after its hazard rollback.  ``prune="full"`` ends that
+        path at the rollback (the forwarding arm covers the
+        continuation), so the recovery is run at ``sleepset``."""
         m = _machine("store 1, [0x40]\n%ra = load [0x40]\nhalt")
         c = Config.initial({}, Memory().write(0x40, Value(9)), 1)
-        result = Explorer(m, ExplorationOptions(bound=8)).explore(c)
+        result = Explorer(m, ExplorationOptions(
+            bound=8, prune="sleepset")).explore(c)
         for p in result.paths:
             if p.complete:
                 assert p.final.reg("ra").val == 1
@@ -181,3 +189,70 @@ class TestSettledBranches:
         b = a.fork()
         b.mispredicted.add(2)
         assert a.residual_obligations() == b.residual_obligations()
+
+
+class TestLabelGate:
+    """The store-address timing fork is label-gated: it is taken only
+    when the address reads an in-flight value that is unresolved or
+    secret, since a public ``fwd`` observation is never a violation."""
+
+    ARENA = 0x40
+
+    def _store_after_op(self, r1_label):
+        """``r2 = r1 + 0`` then a store to ``ARENA + r2``: the store's
+        address reads a resolved, in-flight op result."""
+        r1, r2 = Reg("r1"), Reg("r2")
+        program = Program({
+            1: Op(r2, "add", operands(r1, 0), 2),
+            2: Store(Value(7), operands(self.ARENA, r2), 3),
+        }, entry=1)
+        config = Config.initial({"r1": Value(3, r1_label)}, Memory(), 1)
+        return Machine(program), config
+
+    def test_secret_through_mov_is_still_flagged_under_full(self):
+        """via_mov: a stale load reads a secret, ``mov`` copies it, and
+        the younger store's address leaks it as ``fwd``.  The producer
+        of the address is an op, not a load, so only the label (never
+        the producer's kind) can gate the fork."""
+        r0, r1, r2 = Reg("r0"), Reg("r1"), Reg("r2")
+        program = Program({
+            1: Store(Value(0), operands(self.ARENA, r1), 3),
+            3: Load(r0, operands(self.ARENA + 3), 4),
+            4: Op(r2, "mov", operands(r0), 5),
+            5: Store(Value(2), operands(self.ARENA, r2), 6),
+        }, entry=1)
+        mem = Memory().write(self.ARENA + 3, Value(5, SECRET))
+        config = Config.initial({"r0": 0, "r1": 3, "r2": 0}, mem, 1)
+        options = ExplorationOptions(bound=8)
+        assert options.prune == "full"
+        result = Explorer(Machine(program), options).explore(config)
+        leaks = {v.observation for v in result.violations}
+        assert Fwd(self.ARENA + 5, SECRET) in leaks
+
+    @pytest.mark.parametrize("prune", ["sleepset", "full"])
+    def test_public_inflight_address_does_not_fork(self, prune):
+        machine, config = self._store_after_op(PUBLIC)
+        result = Explorer(machine, ExplorationOptions(
+            bound=8, prune=prune)).explore(config)
+        assert result.paths_explored == 1
+        assert result.secure
+
+    @pytest.mark.parametrize("prune", ["sleepset", "full"])
+    def test_secret_inflight_address_still_forks(self, prune):
+        machine, config = self._store_after_op(SECRET)
+        result = Explorer(machine, ExplorationOptions(
+            bound=8, prune=prune)).explore(config)
+        assert result.paths_explored == 2
+        assert not result.secure
+
+    def test_donna_c_step_count_under_full(self):
+        """A deterministic count: curve25519-donna (C) at bound 20 takes
+        the 1,495 machine steps ``BENCH_por.json`` records for
+        ``full``."""
+        donna = [v for cs in all_case_studies() for v in cs.variants()
+                 if v.name == "donna-c"][0]
+        result = Explorer(Machine(donna.program), ExplorationOptions(
+            bound=20, fwd_hazards=True)).explore(donna.make_config(),
+                                                 stop_at_first=False)
+        assert not result.truncated
+        assert result.applied_steps == 1495

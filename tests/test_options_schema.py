@@ -31,7 +31,7 @@ _SCHEMA = {
     "bound": 20, "fwd_hazards": True, "explore_aliasing": False,
     "jmpi_targets": (), "rsb_targets": (), "rsb_policy": "directive",
     "max_paths": 20_000, "max_steps": 40_000, "stop_at_first": True,
-    "strategy": "dfs", "prune": "sleepset", "subsume": False,
+    "strategy": "dfs", "prune": "full", "subsume": False,
     "budget_seconds": None, "telemetry": False, "seed": 0, "bound_no_fwd": 250, "bound_fwd": 20,
     "sct_bound": 8, "sct_max_schedules": 2_000,
     "policy": "auto", "max_repair_rounds": 16, "shrink": True,

@@ -43,21 +43,27 @@ class TestExplorerBasics:
 
     def test_architectural_results_agree_across_paths(self):
         """All complete paths commit the same architectural state
-        (consistency, Cor. B.8)."""
+        (consistency, Cor. B.8).  ``prune="full"`` ends the stale-read
+        path at its rollback, so the continuation is run at
+        ``sleepset``."""
         m = _machine("store 1, [0x40]\n%ra = load [0x40]\nhalt")
         c = Config.initial({}, Memory(), 1)
-        result = Explorer(m, ExplorationOptions(bound=4)).explore(c)
+        result = Explorer(m, ExplorationOptions(
+            bound=4, prune="sleepset")).explore(c)
         finals = {(p.final.reg("ra").val, p.final.mem.read(0x40).val)
                   for p in result.paths if p.complete}
         assert finals == {(1, 1)}
 
     def test_max_paths_truncates(self):
+        # Both targets of each br coincide, which prune="full" collapses
+        # into one arm; sleepset keeps the 2**8 schedules.
         m = _machine("\n".join(
             f"br eq, %r{i}, 0 -> {i + 2}, {i + 2}" for i in range(8))
             + "\nhalt")
         regs = {f"r{i}": 0 for i in range(8)}
         c = Config.initial(regs, Memory(), 1)
-        result = Explorer(m, ExplorationOptions(bound=16, max_paths=5)
+        result = Explorer(m, ExplorationOptions(bound=16, max_paths=5,
+                                                prune="sleepset")
                           ).explore(c)
         assert result.truncated
 
@@ -92,8 +98,10 @@ class TestScheduleEnumeration:
         m = _machine("store 1, [0x40]\nstore 2, [0x40]\n%ra = load [0x40]\n"
                      "halt")
         c = Config.initial({}, Memory(), 1)
-        n_with = schedule_stats(m, c, bound=6, fwd_hazards=True).schedules
-        n_without = schedule_stats(m, c, bound=6, fwd_hazards=False).schedules
+        n_with = schedule_stats(m, c, bound=6, fwd_hazards=True,
+                                prune="sleepset").schedules
+        n_without = schedule_stats(m, c, bound=6, fwd_hazards=False,
+                                   prune="sleepset").schedules
         assert n_without == 1
         assert n_with >= 4  # defer/now per store, at least
 

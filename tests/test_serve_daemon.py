@@ -17,6 +17,8 @@ once); lifecycle tests that need their own daemon build one per test.
 import gc
 import json
 import os
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -524,6 +526,28 @@ def test_cli_results_against_store(daemon, capsys, monkeypatch):
                  "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)["entries"]
     assert rows
+
+
+def test_cli_results_reader_closing_early_exits_quietly(daemon, tmp_path):
+    """``repro results | grep -q …``: the reader is gone before the
+    listing is written.  The listing exits 0 with nothing on stderr
+    instead of a ``BrokenPipeError`` traceback."""
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                       "..", "src"))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (["--store", daemon.server.store.root],
+                     ["--socket", daemon.server.socket_path, "--json"]):
+            done = subprocess.run(
+                [sys.executable, "-m", "repro", "results", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                cwd=str(tmp_path), timeout=60)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr == b"", done.stderr
+    finally:
+        os.close(write_end)
 
 
 def test_cli_serve_stats(daemon, capsys, monkeypatch):

@@ -157,7 +157,8 @@ def test_envelope_shape_and_version_are_unchanged(store, report):
         envelope = json.load(fh)
     assert STORE_VERSION == 1
     assert sorted(envelope) == ["analysis", "key", "options", "report",
-                                "store_version", "stored_at", "target"]
+                                "semantics_epoch", "store_version",
+                                "stored_at", "target"]
     assert envelope["store_version"] == 1 and envelope["key"] == key
 
 
@@ -333,6 +334,44 @@ def test_manager_disk_tier_survives_restart(tmp_path):
     # And the disk hit primed the memory tier.
     second.run_one(project)
     assert second.cache_info().hits == 1
+
+
+def test_another_semantics_epoch_recomputes(tmp_path, monkeypatch):
+    """A store filled under epoch N answers nothing under epoch N+1: the
+    key moves with the epoch, so the restarted manager recomputes."""
+    from repro.serve import keys
+    root = str(tmp_path / "store")
+    project = Project.from_litmus("kocher_01")
+    AnalysisManager("pitchfork", store=root).run_one(project)
+
+    monkeypatch.setattr(keys, "SEMANTICS_EPOCH", keys.SEMANTICS_EPOCH + 1)
+    later = AnalysisManager("pitchfork", store=root)
+    later.run_one(project)
+    info = later.cache_info()
+    assert (info.hits, info.disk_hits, info.misses) == (0, 0, 1)
+    assert info.stores == 1
+    assert len(ResultStore(root).entries()) == 2
+
+
+def test_envelope_of_another_epoch_reads_as_miss(store, report, monkeypatch):
+    """Even filed under the very key asked for, an envelope written under
+    another epoch (or before epochs existed) is a miss, never an answer."""
+    from repro.serve import keys
+    key = _key()
+    store.put(key, report)
+    monkeypatch.setattr(keys, "SEMANTICS_EPOCH", keys.SEMANTICS_EPOCH + 1)
+    assert store.get(key) is None
+    assert store.stats.misses == 1
+    monkeypatch.undo()
+    assert store.get(key) is not None
+
+    path = store.path_for(key)
+    with open(path, encoding="utf-8") as fh:
+        envelope = json.load(fh)
+    del envelope["semantics_epoch"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(envelope, fh)
+    assert store.get(key) is None
 
 
 def test_manager_store_accepts_instance(tmp_path):
